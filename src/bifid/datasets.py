@@ -83,10 +83,6 @@ class Standardizer:
             return v * self.scale[0] + self.mean[0]
         return v * self.scale + self.mean
 
-    def scale_variance(self, variances: np.ndarray) -> np.ndarray:
-        """Map variances from original units into standardized units."""
-        return np.asarray(variances, dtype=np.float64) / self.scale[0] ** 2
-
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write ``x1,...,xd,y`` rows with 17 significant digits (round-trip exact)."""
@@ -111,14 +107,20 @@ def read_csv(path: str | Path) -> Dataset:
         if columns[:-1] != expected:
             raise ConfigurationError(f"{path}: malformed input columns {columns[:-1]}")
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            rows.append([float(c) for c in line.split(",")])
+            cells = line.split(",")
+            if len(cells) != len(columns):
+                raise ConfigurationError(
+                    f"{path}: line {lineno} has {len(cells)} cells, the header has {len(columns)}")
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError:
+                raise ConfigurationError(
+                    f"{path}: line {lineno} has a non-numeric cell: {line!r}") from None
     if not rows:
         raise ConfigurationError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)
-    if arr.shape[1] != len(columns):
-        raise ConfigurationError(f"{path}: ragged rows")
     return Dataset(arr[:, :-1], arr[:, -1])

@@ -327,15 +327,17 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         steps[name] = _get(obj, name, "config", int, default)
         if steps[name] < 0 or (name == "loss_stride" and steps[name] < 1):
             raise ConfigurationError(f"config.{name}: out of range")
+    network = _parse_arch(obj.get("network"), "config.network", ArchConfig())
     n_adapt = _get(obj, "n_adapt_layers", "config", int, 1)
-    if n_adapt < 1:
-        raise ConfigurationError("config.n_adapt_layers: must be >= 1")
+    if not 1 <= n_adapt <= len(network.hidden_widths):
+        raise ConfigurationError(
+            f"config.n_adapt_layers: must lie in [1, {len(network.hidden_widths)}]")
 
     cfg = ExperimentConfig(
         method=method,
         master_seed=master_seed,
         n_l=sizes["n_l"], n_h=sizes["n_h"], n_v=sizes["n_v"],
-        network=_parse_arch(obj.get("network"), "config.network", ArchConfig()),
+        network=network,
         head=_parse_arch(obj.get("head"), "config.head", ArchConfig((20,), ("elu",))),
         lf_eta=lf_eta, hf_eta=hf_eta,
         lf_steps=steps["lf_steps"], hf_steps=steps["hf_steps"],
@@ -392,8 +394,14 @@ class SamplePool:
 
 def make_problem(cfg: ExperimentConfig) -> Problem:
     if cfg.data.source == "csv":
-        return Problem(read_csv(cfg.data.lf_path), read_csv(cfg.data.hf_path),
-                       read_csv(cfg.data.val_path))
+        problem = Problem(read_csv(cfg.data.lf_path), read_csv(cfg.data.hf_path),
+                          read_csv(cfg.data.val_path))
+        dims = (problem.data_l.dim, problem.data_h.dim, problem.data_v.dim)
+        if len(set(dims)) != 1:
+            raise ConfigurationError(
+                "config.data: lf_path, hf_path and val_path have {}, {} and {} input "
+                "columns; they must match".format(*dims))
+        return problem
     dist = beam.default_distribution()
     seed = cfg.master_seed
     return Problem(
@@ -761,17 +769,11 @@ def _pmap(fn, n: int) -> list:
 
 
 def _init_rep_worker(i: int, cfg: ExperimentConfig, problem: Problem) -> RunResult:
-    try:
-        return run_single(cfg, rep=i, problem=problem)
-    except Exception as e:
-        raise RuntimeError(f"replicate {i} ({cfg.method}) failed: {e}") from e
+    return run_single(cfg, rep=i, problem=problem)
 
 
 def _dataset_rep_worker(i: int, cfg: ExperimentConfig, pool: SamplePool) -> RunResult:
-    try:
-        return run_single(cfg, rep=0, problem=split_pool(cfg, pool, i), label_seed=i)
-    except Exception as e:
-        raise RuntimeError(f"replicate {i} ({cfg.method}) failed: {e}") from e
+    return run_single(cfg, rep=0, problem=split_pool(cfg, pool, i), label_seed=i)
 
 
 def replicate_inits(cfg: ExperimentConfig, n: int | None = None):

@@ -13,7 +13,9 @@ test suite.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,15 +61,28 @@ def activation_grad(act: Activation, z: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
+class ParamEntry(NamedTuple):
+    """One named block of the flat parameter vector."""
+
+    name: str
+    shape: tuple[int, ...]
+    span: slice
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture description; immutable and hashable by content."""
+    """Architecture description; immutable and hashable by content.
+
+    ``layout`` is the flat parameter layout, computed once: W_1..W_H, the
+    output row W_0, then b_1..b_H, b_0.
+    """
 
     input_dim: int
     hidden_widths: tuple[int, ...]
     hidden_activations: tuple[Activation, ...]
     skips: tuple[tuple[int, int], ...] = ()
     max_width: int = 50
+    layout: tuple[ParamEntry, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
@@ -100,41 +115,27 @@ class NetworkSpec:
                 raise ConfigurationError(f"duplicate skip ({s}, {t})")
             seen.add((s, t))
 
+        widths = (self.input_dim,) + self.hidden_widths
+        labels = [str(i) for i in range(1, self.n_hidden + 1)] + ["0"]
+        dims = [(widths[i + 1], widths[i]) for i in range(self.n_hidden)]
+        dims.append((1, widths[-1]))
+        blocks = [("W" + n, d) for n, d in zip(labels, dims)]
+        blocks += [("b" + n, (d[0],)) for n, d in zip(labels, dims)]
+        layout = []
+        offset = 0
+        for name, shape in blocks:
+            size = math.prod(shape)
+            layout.append(ParamEntry(name, shape, slice(offset, offset + size)))
+            offset += size
+        object.__setattr__(self, "layout", tuple(layout))
+
     @property
     def n_hidden(self) -> int:
         return len(self.hidden_widths)
 
-    def layer_dims(self) -> list[tuple[int, int]]:
-        """(rows, cols) of W_1..W_H followed by the output row W_0."""
-        widths = (self.input_dim,) + self.hidden_widths
-        dims = [(widths[i + 1], widths[i]) for i in range(self.n_hidden)]
-        dims.append((1, self.hidden_widths[-1]))
-        return dims
-
-    def param_entries(self) -> list[tuple[str, tuple[int, ...]]]:
-        """Flat layout: W_1..W_H, W_0, then b_1..b_H, b_0."""
-        dims = self.layer_dims()
-        entries: list[tuple[str, tuple[int, ...]]] = []
-        for i, shape in enumerate(dims):
-            name = f"W{i + 1}" if i < self.n_hidden else "W0"
-            entries.append((name, shape))
-        for i, shape in enumerate(dims):
-            name = f"b{i + 1}" if i < self.n_hidden else "b0"
-            entries.append((name, (shape[0],)))
-        return entries
-
-    def param_slices(self) -> dict[str, slice]:
-        slices: dict[str, slice] = {}
-        offset = 0
-        for name, shape in self.param_entries():
-            size = int(np.prod(shape))
-            slices[name] = slice(offset, offset + size)
-            offset += size
-        return slices
-
     @property
     def n_params(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape in self.param_entries())
+        return self.layout[-1].span.stop
 
 
 @dataclass
@@ -157,13 +158,8 @@ class NetworkParams:
             )
         if copy:
             flat = flat.copy()
-        weights: list[np.ndarray] = []
-        biases: list[np.ndarray] = []
-        slices = spec.param_slices()
-        for name, shape in spec.param_entries():
-            view = flat[slices[name]].reshape(shape)
-            (weights if name.startswith("W") else biases).append(view)
-        return cls(weights=weights, biases=biases)
+        views = [flat[e.span].reshape(e.shape) for e in spec.layout]
+        return cls(weights=views[: spec.n_hidden + 1], biases=views[spec.n_hidden + 1 :])
 
     def copy(self) -> "NetworkParams":
         return NetworkParams(
@@ -173,68 +169,42 @@ class NetworkParams:
 
 
 def validate_params(spec: NetworkSpec, params: NetworkParams) -> None:
-    dims = spec.layer_dims()
-    if len(params.weights) != len(dims) or len(params.biases) != len(dims):
+    n_layers = spec.n_hidden + 1
+    if len(params.weights) != n_layers or len(params.biases) != n_layers:
         raise ConfigurationError("params layer count does not match spec")
-    for i, shape in enumerate(dims):
-        if params.weights[i].shape != shape:
+    for entry, array in zip(spec.layout, params.weights + params.biases):
+        if array.shape != entry.shape:
             raise ConfigurationError(
-                f"weight {i} has shape {params.weights[i].shape}, expected {shape}"
-            )
-        if params.biases[i].shape != (shape[0],):
-            raise ConfigurationError(
-                f"bias {i} has shape {params.biases[i].shape}, expected ({shape[0]},)"
+                f"{entry.name} has shape {array.shape}, expected {entry.shape}"
             )
 
 
 def init_params(spec: NetworkSpec, rng: np.random.Generator) -> NetworkParams:
     """Uniform(-sqrt(6/(fan_in+fan_out)), +...) weights, zero biases."""
     weights = []
-    biases = []
-    for rows, cols in spec.layer_dims():
-        bound = np.sqrt(6.0 / (rows + cols))
-        weights.append(rng.uniform(-bound, bound, size=(rows, cols)))
-        biases.append(np.zeros(rows))
+    for entry in spec.layout[: spec.n_hidden + 1]:
+        bound = np.sqrt(6.0 / sum(entry.shape))
+        weights.append(rng.uniform(-bound, bound, size=entry.shape))
+    biases = [np.zeros(entry.shape) for entry in spec.layout[spec.n_hidden + 1 :]]
     return NetworkParams(weights=weights, biases=biases)
-
-
-@dataclass
-class ForwardTrace:
-    """Per-layer intermediates needed for reverse accumulation."""
-
-    x: np.ndarray
-    pre_activations: list[np.ndarray] = field(default_factory=list)
-    outputs: list[np.ndarray] = field(default_factory=list)
 
 
 def _skip_sources(spec: NetworkSpec, target: int) -> list[int]:
     return [s for s, t in spec.skips if t == target]
 
 
-def forward(spec: NetworkSpec, params: NetworkParams, x: np.ndarray) -> tuple[float, ForwardTrace]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.input_dim,):
-        raise ConfigurationError(f"input has shape {x.shape}, expected ({spec.input_dim},)")
-    trace = ForwardTrace(x=x)
-    y = x
-    try:
-        for i in range(1, spec.n_hidden + 1):
-            z = params.weights[i - 1] @ y + params.biases[i - 1]
-            y = activation_eval(spec.hidden_activations[i - 1], z)
-            for s in _skip_sources(spec, i):
-                y = y + trace.outputs[s - 1]
-            trace.pre_activations.append(z)
-            trace.outputs.append(y)
-        out = params.weights[-1] @ y + params.biases[-1]
-    except ValueError as exc:
-        raise ConfigurationError(f"parameter/spec shape mismatch: {exc}") from exc
-    return float(out[0]), trace
+def forward(
+    spec: NetworkSpec, params: NetworkParams, X: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Run the rows of X through the network.
 
-
-def predict_batch(spec: NetworkSpec, params: NetworkParams, X: np.ndarray) -> np.ndarray:
+    Returns the (N,) outputs plus, per hidden layer, the (N, width)
+    pre-activations and post-skip outputs that reverse accumulation needs.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
         raise ConfigurationError(f"batch has shape {X.shape}, expected (N, {spec.input_dim})")
+    pre_activations: list[np.ndarray] = []
     outputs: list[np.ndarray] = []
     Y = X
     try:
@@ -243,11 +213,16 @@ def predict_batch(spec: NetworkSpec, params: NetworkParams, X: np.ndarray) -> np
             Y = activation_eval(spec.hidden_activations[i - 1], Z)
             for s in _skip_sources(spec, i):
                 Y = Y + outputs[s - 1]
+            pre_activations.append(Z)
             outputs.append(Y)
         out = Y @ params.weights[-1][0] + params.biases[-1][0]
     except ValueError as exc:
         raise ConfigurationError(f"parameter/spec shape mismatch: {exc}") from exc
-    return out
+    return out, pre_activations, outputs
+
+
+def predict_batch(spec: NetworkSpec, params: NetworkParams, X: np.ndarray) -> np.ndarray:
+    return forward(spec, params, X)[0]
 
 
 def loss_mse(spec: NetworkSpec, params: NetworkParams, data: Dataset) -> float:
@@ -256,35 +231,31 @@ def loss_mse(spec: NetworkSpec, params: NetworkParams, data: Dataset) -> float:
     return float(np.mean(diff * diff))
 
 
-def grad_sample(
-    spec: NetworkSpec, params: NetworkParams, x: np.ndarray, y_true: float
-) -> NetworkParams:
-    """Exact gradient of the single-sample squared error (y_hat - y_true)^2."""
-    return NetworkParams.from_flat(spec, grad_sample_flat(spec, params, x, y_true), copy=False)
-
-
 def grad_sample_flat(
     spec: NetworkSpec, params: NetworkParams, x: np.ndarray, y_true: float
 ) -> np.ndarray:
-    y_hat, trace = forward(spec, params, x)
+    """Exact gradient of the single-sample squared error (y_hat - y_true)^2,
+    laid out as the flat parameter vector."""
+    X = np.asarray(x, dtype=np.float64)[None, :]
+    out, pre_activations, outputs = forward(spec, params, X)
     H = spec.n_hidden
-    flat = np.zeros(spec.n_params)
-    grads = NetworkParams.from_flat(spec, flat, copy=False)
+    weight_spans = [e.span for e in spec.layout[: H + 1]]
+    bias_spans = [e.span for e in spec.layout[H + 1 :]]
+    flat = np.empty(spec.n_params)
 
-    d_out = 2.0 * (y_hat - float(y_true))
-    y_last = trace.outputs[H - 1]
-    grads.weights[-1][0, :] = d_out * y_last
-    grads.biases[-1][0] = d_out
+    d_out = 2.0 * (float(out[0]) - float(y_true))
+    flat[weight_spans[H]] = d_out * outputs[H - 1][0]
+    flat[bias_spans[H]] = d_out
 
     # acc[i] accumulates dJ/dy_i; targets are visited before their sources,
     # so skip contributions are complete by the time a layer is processed.
     acc = [np.zeros(w) for w in spec.hidden_widths]
     acc[H - 1] = d_out * params.weights[-1][0]
     for i in range(H, 0, -1):
-        dz = acc[i - 1] * activation_grad(spec.hidden_activations[i - 1], trace.pre_activations[i - 1])
-        y_prev = trace.x if i == 1 else trace.outputs[i - 2]
-        grads.weights[i - 1][:, :] = np.outer(dz, y_prev)
-        grads.biases[i - 1][:] = dz
+        dz = acc[i - 1] * activation_grad(spec.hidden_activations[i - 1], pre_activations[i - 1][0])
+        y_prev = X[0] if i == 1 else outputs[i - 2][0]
+        flat[weight_spans[i - 1]] = np.outer(dz, y_prev).ravel()
+        flat[bias_spans[i - 1]] = dz
         if i > 1:
             acc[i - 2] = acc[i - 2] + params.weights[i - 1].T @ dz
         for s in _skip_sources(spec, i):
@@ -295,15 +266,18 @@ def grad_sample_flat(
 _FORMAT = "bifid-params-v1"
 
 
+def _header_entries(spec: NetworkSpec) -> list[dict]:
+    return [{"name": e.name, "shape": list(e.shape)} for e in spec.layout]
+
+
 def params_to_bytes(spec: NetworkSpec, params: NetworkParams) -> bytes:
     """JSON shape header, newline, then little-endian float64 payload."""
     validate_params(spec, params)
-    entries = [{"name": n, "shape": list(s)} for n, s in spec.param_entries()]
     header = {
         "format": _FORMAT,
         "input_dim": spec.input_dim,
         "hidden_widths": list(spec.hidden_widths),
-        "entries": entries,
+        "entries": _header_entries(spec),
         "dtype": "<f8",
     }
     payload = np.ascontiguousarray(params.to_flat(), dtype="<f8").tobytes()
@@ -315,8 +289,7 @@ def params_from_bytes(spec: NetworkSpec, blob: bytes) -> NetworkParams:
     header = json.loads(blob[:newline].decode("utf-8"))
     if header.get("format") != _FORMAT:
         raise ConfigurationError(f"unknown params format {header.get('format')!r}")
-    expected = [{"name": n, "shape": list(s)} for n, s in spec.param_entries()]
-    if header.get("entries") != expected or header.get("input_dim") != spec.input_dim:
+    if header.get("entries") != _header_entries(spec) or header.get("input_dim") != spec.input_dim:
         raise ConfigurationError("serialized shapes do not match the network spec")
     flat = np.frombuffer(blob[newline + 1 :], dtype="<f8").astype(np.float64)
     return NetworkParams.from_flat(spec, flat)

@@ -1,4 +1,4 @@
-"""Stochastic training loop: SGD and Adam on flat parameter vectors.
+"""Stochastic training loop: Adam on flat parameter vectors.
 
 The loop draws one sample per step, uniformly with replacement; there is no
 mini-batching.  A freeze mask pins arbitrary parameter components: masked-out
@@ -33,7 +33,6 @@ class AdamConfig:
     eps: float = 1e-8
     max_steps: int = 50_000
     loss_stride: int = 100
-    early_stop: bool = False
 
     def __post_init__(self):
         if np.isscalar(self.eta):
@@ -101,22 +100,12 @@ class TrainMask:
         if not 0 <= n_adapt <= H:
             raise ConfigurationError(f"n_adapt must lie in [0, {H}]")
         flags = np.zeros(spec.n_params, dtype=bool)
-        slices = spec.param_slices()
-        open_layers = [f"{kind}{i}" for i in range(H - n_adapt + 1, H + 1) for kind in ("W", "b")]
-        open_layers += ["W0", "b0"]
-        for name in open_layers:
-            flags[slices[name]] = True
+        open_layers = {f"{kind}{i}" for i in range(H - n_adapt + 1, H + 1) for kind in "Wb"}
+        open_layers |= {"W0", "b0"}
+        for entry in spec.layout:
+            if entry.name in open_layers:
+                flags[entry.span] = True
         return cls(flags)
-
-
-def sgd_step(params: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
-    if not eta > 0:
-        raise ConfigurationError("eta must be positive")
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    if params.shape != grad.shape:
-        raise ConfigurationError("params and grad shapes differ")
-    return params - eta * grad
 
 
 def adam_step(
@@ -223,7 +212,6 @@ def train(
     draws = rng.integers(0, N, size=cfg.max_steps)
 
     history: list[tuple[int, float]] = [(0, loss_mse(spec, view, data))]
-    stall = 0
     k = 0
     for k in range(1, cfg.max_steps + 1):
         i = int(draws[k - 1])
@@ -231,14 +219,7 @@ def train(
         w = float(weights[i]) if weights is not None else 1.0
         _adam_update(flat, m, v, g, k - 1, cfg.eta_at(k), w, flags, cfg.b_m, cfg.b_v, cfg.eps)
         if k % cfg.loss_stride == 0:
-            loss = loss_mse(spec, view, data)
-            prev = history[-1][1]
-            history.append((k, loss))
-            if cfg.early_stop:
-                rel = (prev - loss) / max(abs(prev), 1e-300)
-                stall = stall + 1 if rel < 1e-10 else 0
-                if stall >= 10:
-                    break
+            history.append((k, loss_mse(spec, view, data)))
     if history[-1][0] != k:
         history.append((k, loss_mse(spec, view, data)))
     return NetworkParams.from_flat(spec, flat, copy=True), history

@@ -72,13 +72,6 @@ class StackedModel:
         if self.head_spec.input_dim != 1:
             raise ConfigurationError("correction head must consume the single base output")
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        base_out = predict_batch(self.base_spec, self.base_params, X)
-        return predict_batch(self.head_spec, self.head_params, base_out[:, None])
-
-    def predict(self, x: np.ndarray) -> float:
-        return float(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
-
 
 def default_teacher_kernel() -> Kernel:
     # RBF started at unit scales but searched over wide bounds: a teacher fit

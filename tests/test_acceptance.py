@@ -90,8 +90,8 @@ def fd_gradient(spec, params, x, y, h=1e-6):
         plus, minus = flat.copy(), flat.copy()
         plus[j] += h
         minus[j] -= h
-        yp, _ = forward(spec, NetworkParams.from_flat(spec, plus, copy=False), x)
-        ym, _ = forward(spec, NetworkParams.from_flat(spec, minus, copy=False), x)
+        yp = forward(spec, NetworkParams.from_flat(spec, plus, copy=False), x[None, :])[0][0]
+        ym = forward(spec, NetworkParams.from_flat(spec, minus, copy=False), x[None, :])[0][0]
         grad[j] = ((yp - y) ** 2 - (ym - y) ** 2) / (2 * h)
     return grad
 
@@ -104,8 +104,8 @@ def draw_smooth_sample(spec, params, rng, margin=1e-3):
     # kink by 1000x the stencil width.
     for _ in range(200):
         x = rng.normal(size=spec.input_dim)
-        _, trace = forward(spec, params, x)
-        if min(float(np.min(np.abs(z))) for z in trace.pre_activations) >= margin:
+        _, pre_activations, _ = forward(spec, params, x[None, :])
+        if min(float(np.min(np.abs(z))) for z in pre_activations) >= margin:
             return x
     raise AssertionError("no kink-free input found")
 

@@ -1,5 +1,6 @@
 """Experiment harness: config parsing, runners, replication, artifacts, CLI."""
 
+import base64
 import json
 import os
 from dataclasses import replace
@@ -37,7 +38,7 @@ from bifid.harness import (
     save_artifact,
     split_pool,
 )
-from bifid.network import init_params, predict_batch
+from bifid.network import init_params, params_from_bytes, predict_batch
 from bifid.seeding import DATA, INIT, stream
 
 
@@ -151,6 +152,15 @@ class TestConfigParsing:
         # zero steps is a legal stage (train nothing)
         assert config_from_dict({**self.base(), "hf_steps": 0}).hf_steps == 0
 
+    def test_n_adapt_layers_bounded_by_network_depth(self):
+        for value in (0, 3):
+            with pytest.raises(ConfigurationError,
+                               match=r"config.n_adapt_layers: must lie in \[1, 2\]"):
+                config_from_dict({**self.base(), "n_adapt_layers": value})
+        deep = {"hidden_widths": [6, 6, 6], "activations": ["elu"] * 3}
+        assert config_from_dict({**self.base(), "network": deep,
+                                 "n_adapt_layers": 3}).n_adapt_layers == 3
+
     def test_csv_source_requires_paths(self):
         with pytest.raises(ConfigurationError, match="config.data.lf_path: required"):
             config_from_dict({**self.base(), "data": {"source": "csv"}})
@@ -232,6 +242,16 @@ class TestProblemAssembly:
                                        hf_path=str(paths["hf"]), val_path=str(paths["val"])))
         loaded = make_problem(cfg)
         np.testing.assert_allclose(loaded.data_h.outputs, src.data_h.outputs, rtol=1e-15)
+
+    def test_csv_input_column_counts_must_match(self, tmp_path):
+        src = make_problem(tiny_cfg())
+        write_csv(src.data_l, tmp_path / "lf.csv")
+        write_csv(Dataset(src.data_h.inputs[:, :3], src.data_h.outputs), tmp_path / "hf.csv")
+        cfg = tiny_cfg(data=DataConfig(source="csv", lf_path=str(tmp_path / "lf.csv"),
+                                       hf_path=str(tmp_path / "hf.csv"),
+                                       val_path=str(tmp_path / "lf.csv")))
+        with pytest.raises(ConfigurationError, match="have 4, 3 and 4 input columns"):
+            make_problem(cfg)
 
     def test_pool_split_disjoint_and_sized(self):
         cfg = tiny_cfg(data=DataConfig(pool_size=70))
@@ -350,6 +370,18 @@ class TestArtifacts:
         result = run_single(cfg, problem=problem)
         # byte-serialized float64 weights survive JSON exactly
         self.assert_round_trip(result, problem, tmp_path, tol=0.0)
+
+    def test_stacked_artifact_predicts_the_composition(self):
+        # identity scalers, so the artifact's output is the raw head-over-base pass
+        cfg = tiny_cfg(method="bftl2", lf_steps=60, hf_steps=60, standardize_nn=False)
+        problem = make_problem(cfg)
+        artifact = run_single(cfg, problem=problem).artifact
+        base_spec, head_spec = cfg.network.to_spec(4), cfg.head.to_spec(1)
+        base = params_from_bytes(base_spec, base64.b64decode(artifact["base"]["params_b64"]))
+        head = params_from_bytes(head_spec, base64.b64decode(artifact["head"]["params_b64"]))
+        X = problem.data_v.inputs
+        manual = predict_batch(head_spec, head, predict_batch(base_spec, base, X)[:, None])
+        np.testing.assert_array_equal(predict_from_artifact(artifact, X), manual)
 
     @pytest.mark.parametrize("method", ["gp_only", "cokriging"])
     def test_gp_artifacts_round_trip(self, method, tmp_path):
@@ -547,3 +579,45 @@ class TestCli:
         bad.write_text(json.dumps({"method": "nope", "master_seed": 0}), encoding="utf-8")
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_replicate_errors_exit_2_with_workers(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BIFID_THREADS", "2")
+        data_dir = tmp_path / "data"
+        assert main(["generate-data", "--config", str(self.write_config(tmp_path)),
+                     "--out", str(data_dir)]) == 0
+        hf = read_csv(data_dir / "highfi.csv")
+        write_csv(Dataset(hf.inputs[:, :3], hf.outputs), data_dir / "highfi3.csv")
+        capsys.readouterr()
+        reps = {"mode": "init_replicates", "n": 2}
+        cases = [
+            # rejected while parsing the config
+            ({"n_adapt_layers": 5}, "config.n_adapt_layers: must lie in [1, 2]"),
+            # rejected while loading the data, before any worker starts
+            ({"data": {"source": "csv", "lf_path": str(data_dir / "lowfi.csv"),
+                       "hf_path": str(data_dir / "highfi3.csv"),
+                       "val_path": str(data_dir / "validation.csv")}},
+             "have 4, 3 and 4 input columns"),
+            # raised inside each worker and passed through unchanged
+            ({"method": "gp_only", "gp_noise_bounds": [1e-4, 1e-10]},
+             "noise bounds must satisfy"),
+        ]
+        for overrides, message in cases:
+            cfg = self.write_config(tmp_path, replication=reps, **overrides)
+            assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err, err
+
+    def test_evaluate_rejects_malformed_csv(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        model = run_dir / "models" / "standard_hf.json"
+        capsys.readouterr()
+        good = "x1,x2,x3,x4,y\n1,2,3,4,5\n"
+        for body, message in (("1,2,3,5\n", "line 3 has 4 cells, the header has 5"),
+                              ("1,2,abc,4,5\n", "line 3 has a non-numeric cell")):
+            data = tmp_path / "bad.csv"
+            data.write_text(good + body, encoding="utf-8")
+            assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"{data}: {message}" in err, err

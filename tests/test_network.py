@@ -14,7 +14,6 @@ from bifid.network import (
     activation_eval,
     activation_grad,
     forward,
-    grad_sample,
     grad_sample_flat,
     init_params,
     loss_mse,
@@ -122,6 +121,60 @@ class TestSpecValidation:
         # 2x15 net on 4 inputs: 4*15+15 + 15*15+15 + 15+1 = 331
         spec = NetworkSpec(4, (15, 15), (ELU, ELU))
         assert spec.n_params == 331
+        # the serialized layout: weights, then biases, packed back to back
+        assert [(e.name, e.shape) for e in spec.layout] == [
+            ("W1", (15, 4)), ("W2", (15, 15)), ("W0", (1, 15)),
+            ("b1", (15,)), ("b2", (15,)), ("b0", (1,))]
+        stops = [0] + [e.span.stop for e in spec.layout]
+        assert [e.span.start for e in spec.layout] == stops[:-1]
+
+
+def reference_specs():
+    """ReLU and ELU nets, each with and without skips."""
+    specs = []
+    for act in (RELU, ELU):
+        specs += [
+            small_spec(act=act),
+            small_spec(act=act, skips=[(1, 2)]),
+            NetworkSpec(3, (5, 5, 5), (act, act, act), skips=((1, 3), (2, 3))),
+        ]
+    return specs
+
+
+def reference_forward(spec, params, x):
+    """One row at a time, written out as W @ y + b with skips added after
+    the activation; returns the output, pre-activations and layer outputs
+    (ys[0] is the input)."""
+    ys, zs = [x], []
+    for i, act in enumerate(spec.hidden_activations, start=1):
+        z = params.weights[i - 1] @ ys[-1] + params.biases[i - 1]
+        y = activation_eval(act, z)
+        for s, t in spec.skips:
+            if t == i:
+                y = y + ys[s]
+        zs.append(z)
+        ys.append(y)
+    return float(params.weights[-1][0] @ ys[-1] + params.biases[-1][0]), zs, ys
+
+
+def reference_gradient(spec, params, x, y_true):
+    """Reverse accumulation over reference_forward, one layer's blocks at a time."""
+    y_hat, zs, ys = reference_forward(spec, params, x)
+    H = spec.n_hidden
+    d_out = 2.0 * (y_hat - y_true)
+    gw = [None] * H + [d_out * ys[H][None, :]]
+    gb = [None] * H + [np.array([d_out])]
+    dy = [np.zeros_like(y) for y in ys]  # dy[i] = dJ/dy_i, complete once layer i is reached
+    dy[H] = d_out * params.weights[-1][0]
+    for i in range(H, 0, -1):
+        dz = dy[i] * activation_grad(spec.hidden_activations[i - 1], zs[i - 1])
+        gw[i - 1] = np.outer(dz, ys[i - 1])
+        gb[i - 1] = dz
+        dy[i - 1] = dy[i - 1] + params.weights[i - 1].T @ dz
+        for s, t in spec.skips:
+            if t == i:
+                dy[s] = dy[s] + dy[i]
+    return NetworkParams(gw, gb).to_flat()
 
 
 class TestForward:
@@ -136,9 +189,9 @@ class TestForward:
             biases=[np.array([0.5, -0.5]), np.array([0.0, 0.0]), np.array([0.25])],
         )
         # x=[1,2]: y1=[1.5,1.5]; z2=[3,0]; skip adds y1 -> y2=[4.5,1.5]; out=9-1.5+0.25
-        y, trace = forward(spec, params, np.array([1.0, 2.0]))
-        np.testing.assert_allclose(y, 7.75, rtol=1e-15)
-        np.testing.assert_allclose(trace.outputs[1], [4.5, 1.5], rtol=1e-15)
+        y, _, outputs = forward(spec, params, np.array([1.0, 2.0])[None, :])
+        np.testing.assert_allclose(y[0], 7.75, rtol=1e-15)
+        np.testing.assert_allclose(outputs[1][0], [4.5, 1.5], rtol=1e-15)
 
     def test_frozen_elu_network(self):
         spec = NetworkSpec(1, (1,), (ELU,))
@@ -147,8 +200,8 @@ class TestForward:
             biases=[np.array([-1.0]), np.array([0.5])],
         )
         # z = 2*0.25 - 1 = -0.5; y1 = exp(-0.5)-1; out = 3*y1 + 0.5
-        y, _ = forward(spec, params, np.array([0.25]))
-        np.testing.assert_allclose(y, -0.68040802086209974, rtol=1e-15)
+        y, _, _ = forward(spec, params, np.array([0.25])[None, :])
+        np.testing.assert_allclose(y[0], -0.68040802086209974, rtol=1e-15)
 
     def test_skip_applies_after_activation(self):
         # With ReLU clamping layer 2 to zero, the skip must still pass y1
@@ -158,31 +211,31 @@ class TestForward:
             weights=[np.eye(2), -10.0 * np.eye(2), np.array([[1.0, 1.0]])],
             biases=[np.zeros(2), np.zeros(2), np.array([0.0])],
         )
-        y, trace = forward(spec, params, np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(trace.outputs[1], trace.outputs[0])
-        np.testing.assert_allclose(y, 3.0, rtol=1e-15)
+        y, _, outputs = forward(spec, params, np.array([1.0, 2.0])[None, :])
+        np.testing.assert_array_equal(outputs[1][0], outputs[0][0])
+        np.testing.assert_allclose(y[0], 3.0, rtol=1e-15)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(11)
-        spec = small_spec(skips=[(1, 2)])
-        params = init_params(spec, rng)
-        X = rng.normal(size=(40, 2))
-        batch = predict_batch(spec, params, X)
-        single = np.array([forward(spec, params, x)[0] for x in X])
-        np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
+        for spec in reference_specs():
+            params = init_params(spec, rng)
+            X = rng.normal(size=(40, spec.input_dim))
+            batch = predict_batch(spec, params, X)
+            single = np.array([reference_forward(spec, params, x)[0] for x in X])
+            np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
 
     def test_shape_mismatch_raises(self):
         spec = small_spec()
         params = init_params(spec, np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
-            forward(spec, params, np.array([1.0, 2.0, 3.0]))
+            forward(spec, params, np.array([1.0, 2.0, 3.0])[None, :])
         bad = NetworkParams(
             weights=[w.copy() for w in params.weights],
             biases=[b.copy() for b in params.biases],
         )
         bad.weights[1] = np.zeros((3, 3))
         with pytest.raises(ConfigurationError):
-            forward(spec, bad, np.array([1.0, 2.0]))
+            forward(spec, bad, np.array([1.0, 2.0])[None, :])
 
 
 class TestLoss:
@@ -207,9 +260,9 @@ def _fd_gradient(spec, params, x, y_true, step=1e-6):
         h = step * max(1.0, abs(flat[j]))
         bumped = flat.copy()
         bumped[j] = flat[j] + h
-        yp, _ = forward(spec, NetworkParams.from_flat(spec, bumped), x)
+        yp = forward(spec, NetworkParams.from_flat(spec, bumped), x[None, :])[0][0]
         bumped[j] = flat[j] - h
-        ym, _ = forward(spec, NetworkParams.from_flat(spec, bumped), x)
+        ym = forward(spec, NetworkParams.from_flat(spec, bumped), x[None, :])[0][0]
         grad[j] = ((yp - y_true) ** 2 - (ym - y_true) ** 2) / (2 * h)
     return grad
 
@@ -217,9 +270,9 @@ def _fd_gradient(spec, params, x, y_true, step=1e-6):
 def _relu_safe(spec, params, x, margin=1e-4):
     """True when no ReLU pre-activation sits close enough to its kink to
     poison a finite-difference probe."""
-    _, trace = forward(spec, params, x)
+    _, pre_activations, _ = forward(spec, params, x[None, :])
     for i, act in enumerate(spec.hidden_activations):
-        if act.kind == "relu" and np.min(np.abs(trace.pre_activations[i])) < margin:
+        if act.kind == "relu" and np.min(np.abs(pre_activations[i])) < margin:
             return False
     return True
 
@@ -259,19 +312,22 @@ class TestGradients:
             rel = np.abs(exact - approx) / denom
             assert rel.max() <= 1e-5, f"max rel err {rel.max():.3e}"
 
-    def test_structured_view_matches_flat(self):
-        spec = small_spec(skips=[(1, 2)])
+    def test_matches_per_row_reference(self):
         rng = np.random.default_rng(5)
-        params = init_params(spec, rng)
-        x = rng.normal(size=2)
-        g = grad_sample(spec, params, x, 0.3)
-        np.testing.assert_array_equal(g.to_flat(), grad_sample_flat(spec, params, x, 0.3))
+        for spec in reference_specs():
+            params = init_params(spec, rng)
+            for _ in range(10):
+                x = rng.normal(size=spec.input_dim)
+                y = float(rng.normal())
+                np.testing.assert_allclose(grad_sample_flat(spec, params, x, y),
+                                           reference_gradient(spec, params, x, y),
+                                           rtol=1e-12, atol=1e-14)
 
     def test_zero_residual_means_zero_gradient(self):
         spec = small_spec()
         params = init_params(spec, np.random.default_rng(2))
         x = np.array([0.4, -0.2])
-        y, _ = forward(spec, params, x)
+        y = forward(spec, params, x[None, :])[0][0]
         g = grad_sample_flat(spec, params, x, y)
         np.testing.assert_array_equal(g, np.zeros(spec.n_params))
 
@@ -285,7 +341,8 @@ class TestInit:
         for pa, pb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(pa, pb)
         assert any(not np.array_equal(pa, pc) for pa, pc in zip(a.weights, c.weights))
-        for (rows, cols), w in zip(spec.layer_dims(), a.weights):
+        for entry, w in zip(spec.layout, a.weights):
+            rows, cols = entry.shape
             bound = np.sqrt(6.0 / (rows + cols))
             assert np.all(np.abs(w) <= bound)
         for bias in a.biases:
