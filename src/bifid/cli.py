@@ -5,11 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .datasets import read_csv, write_csv
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NormalizationError
 from .harness import (
     compare_methods,
     config_from_file,
@@ -31,12 +30,8 @@ from .harness import (
 
 
 def _load_config(args):
-    cfg = config_from_file(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if getattr(args, "method", None) is not None:
-        cfg = replace(cfg, method=args.method)
-    return cfg
+    flags = {"master_seed": args.seed, "method": getattr(args, "method", None)}
+    return config_from_file(args.config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_generate_data(args) -> int:
@@ -175,7 +170,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigurationError as e:
+    except (ConfigurationError, NormalizationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

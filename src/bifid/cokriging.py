@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IllConditionedKernelError
 from .gp import Bounds, Kernel, _validate_xy, multistart_minimize, stabilized_cholesky
 
 
@@ -97,23 +97,6 @@ def _cross_vector(model: CoKrigingModel, X: np.ndarray) -> np.ndarray:
         + model.kernel_corr.cross(model.X_h, X)
     k_l = model.rho * model.kernel_l.cross(model.X_l, X)
     return np.vstack([k_h, k_l])
-
-
-def ck_predict(model: CoKrigingModel, x: np.ndarray) -> tuple[float, float]:
-    """High-fidelity posterior mean and variance at one point."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.X_h.shape[1],):
-        raise ConfigurationError(
-            f"query has shape {x.shape}, expected ({model.X_h.shape[1]},)"
-        )
-    k = _cross_vector(model, x[None, :])[:, 0]
-    prior = model.rho**2 * model.kernel_l.point(x, x) + model.kernel_corr.point(x, x)
-    mean = float(k @ model.dual)
-    var = float(prior - k @ cho_solve((model.L, True), k))
-    if var < 0.0:
-        var = 0.0
-        model.clamp_count += 1
-    return mean, var
 
 
 def ck_predict_batch(model: CoKrigingModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +222,7 @@ def ck_optimize(
         k_l, k_c, r, nl, nh = build(np.clip(theta, lo, hi))
         try:
             value = ck_nll(X_l, y_l, X_h, y_h, k_l, k_c, r, nl, nh)
-        except Exception:
+        except IllConditionedKernelError:
             return np.inf
         return value if np.isfinite(value) else np.inf
 

@@ -42,10 +42,6 @@ class Dataset:
     def dim(self) -> int:
         return self.inputs.shape[1]
 
-    def take(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.inputs[idx], self.outputs[idx])
-
 
 @dataclass(frozen=True)
 class Standardizer:
@@ -98,28 +94,31 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
 
 def read_csv(path: str | Path) -> Dataset:
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().strip()
-        columns = header.split(",")
-        if len(columns) < 2 or columns[-1] != "y":
-            raise ConfigurationError(f"{path}: expected header 'x1,...,xd,y', got {header!r}")
-        expected = [f"x{j + 1}" for j in range(len(columns) - 1)]
-        if columns[:-1] != expected:
-            raise ConfigurationError(f"{path}: malformed input columns {columns[:-1]}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != len(columns):
-                raise ConfigurationError(
-                    f"{path}: line {lineno} has {len(cells)} cells, the header has {len(columns)}")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                raise ConfigurationError(
-                    f"{path}: line {lineno} has a non-numeric cell: {line!r}") from None
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            header = fh.readline().strip()
+            columns = header.split(",")
+            if len(columns) < 2 or columns[-1] != "y":
+                raise ConfigurationError(f"{path}: expected header 'x1,...,xd,y', got {header!r}")
+            expected = [f"x{j + 1}" for j in range(len(columns) - 1)]
+            if columns[:-1] != expected:
+                raise ConfigurationError(f"{path}: malformed input columns {columns[:-1]}")
+            rows = []
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                cells = line.split(",")
+                if len(cells) != len(columns):
+                    raise ConfigurationError(f"{path}: line {lineno} has {len(cells)} cells, "
+                                             f"the header has {len(columns)}")
+                try:
+                    rows.append([float(c) for c in cells])
+                except ValueError:
+                    raise ConfigurationError(
+                        f"{path}: line {lineno} has a non-numeric cell: {line!r}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigurationError(f"{path}: cannot read: {e}") from e
     if not rows:
         raise ConfigurationError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)

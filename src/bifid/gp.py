@@ -22,6 +22,7 @@ from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, IllConditionedKernelError, OptimizationError
+from .schema import parse
 
 Bounds = tuple[float, float]
 
@@ -261,6 +262,7 @@ _KERNEL_TAGS = {
     "rational_quadratic": RationalQuadratic,
     "matern": Matern,
     "white_noise": WhiteNoise,
+    "sum": SumKernel,
 }
 
 
@@ -283,37 +285,11 @@ def kernel_from_dict(obj: dict, path: str = "kernel") -> Kernel:
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{path}: expected an object")
     kind = obj.get("kind")
-    if kind == "sum":
-        extra = set(obj) - {"kind", "parts"}
-        if extra:
-            raise ConfigurationError(f"{path}: unknown key {sorted(extra)[0]!r}")
-        parts = obj.get("parts")
-        if not isinstance(parts, list) or not parts:
-            raise ConfigurationError(f"{path}.parts: expected a non-empty list")
-        return SumKernel(
-            tuple(kernel_from_dict(p, f"{path}.parts[{i}]") for i, p in enumerate(parts))
-        )
-    if kind not in _KERNEL_TAGS:
+    cls = _KERNEL_TAGS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ConfigurationError(f"{path}.kind: unknown kernel kind {kind!r}")
-    cls = _KERNEL_TAGS[kind]
-    allowed = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, value in obj.items():
-        if key == "kind":
-            continue
-        if key not in allowed:
-            raise ConfigurationError(f"{path}.{key}: unknown key")
-        if key.endswith("_bounds"):
-            if not (isinstance(value, (list, tuple)) and len(value) == 2):
-                raise ConfigurationError(f"{path}.{key}: expected [lower, upper]")
-            value = (float(value[0]), float(value[1]))
-        else:
-            value = float(value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+    body = {key: value for key, value in obj.items() if key != "kind"}
+    return parse(cls, body, path, {Kernel: kernel_from_dict})
 
 
 def stabilized_cholesky(K: np.ndarray) -> tuple[np.ndarray, float]:

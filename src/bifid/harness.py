@@ -11,6 +11,7 @@ never break that guarantee.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import os
 import time
@@ -25,7 +26,16 @@ from . import beam
 from .cokriging import DEFAULT_RHO_BOUNDS, ck_fit, ck_optimize, ck_predict_batch
 from .datasets import Dataset, Standardizer, read_csv
 from .errors import ConfigurationError, NormalizationError
-from .gp import RBF, Kernel, gp_fit, gp_optimize, gp_predict_batch, kernel_from_dict, kernel_to_dict
+from .gp import (
+    RBF,
+    Bounds,
+    Kernel,
+    gp_fit,
+    gp_optimize,
+    gp_predict_batch,
+    kernel_from_dict,
+    kernel_to_dict,
+)
 from .network import (
     Activation,
     NetworkSpec,
@@ -34,6 +44,7 @@ from .network import (
     predict_batch,
 )
 from .optimizers import AdamConfig
+from .schema import parse
 from .seeding import DATA, GP_RESTARTS, INIT, POOL_SPLIT, SGD_HF, SGD_LF, stream
 from .transfer import TransferConfig, bftl1, bftl2, bfwl, default_teacher_kernel, train_lowfi
 
@@ -79,6 +90,13 @@ def rmse(predictions: np.ndarray, truth: np.ndarray) -> float:
 # configuration
 
 
+# The config dataclasses are the config schema: schema.parse reads each key's
+# type, default and constraint from these declarations.
+_COUNT = {"ge": 1}
+_POSITIVE = {"gt": 0}
+_NOISE_BOUNDS = {"ge": 0, "ordered": True}
+
+
 @dataclass(frozen=True)
 class ArchConfig:
     hidden_widths: tuple[int, ...] = (15, 15)
@@ -92,51 +110,52 @@ class ArchConfig:
 
 @dataclass(frozen=True)
 class DataConfig:
-    source: str = "beam"
+    source: str = field(default="beam", metadata={"choices": ("beam", "csv")})
     lf_path: str | None = None
     hf_path: str | None = None
     val_path: str | None = None
-    pool_size: int | None = None
+    pool_size: int | None = field(default=None, metadata=_COUNT)
 
 
 @dataclass(frozen=True)
 class ReplicationConfig:
-    mode: str = "single"
-    n: int = 30
-    nh_values: tuple[int, ...] = ()
-    n_seeds: int = 1
+    mode: str = field(default="single", metadata={"choices": (
+        "single", "init_replicates", "dataset_replicates", "nh_sweep")})
+    n: int = field(default=30, metadata=_COUNT)
+    nh_values: tuple[int, ...] = field(default=(), metadata=_COUNT)
+    n_seeds: int = field(default=1, metadata=_COUNT)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    method: str
-    master_seed: int
-    n_l: int = 250
-    n_h: int = 20
-    n_v: int = 50
+    method: str = field(metadata={"choices": METHODS})
+    master_seed: int = field(metadata={"ge": 0})
+    n_l: int = field(default=250, metadata=_COUNT)
+    n_h: int = field(default=20, metadata=_COUNT)
+    n_v: int = field(default=50, metadata=_COUNT)
     network: ArchConfig = field(default_factory=ArchConfig)
     head: ArchConfig = field(default_factory=lambda: ArchConfig((20,), ("elu",)))
-    lf_eta: float | None = None
-    hf_eta: float | None = None
-    lf_steps: int = 50_000
-    hf_steps: int = 50_000
-    loss_stride: int = 100
-    n_adapt_layers: int = 1
+    lf_eta: float | None = field(default=None, metadata=_POSITIVE)
+    hf_eta: float | None = field(default=None, metadata=_POSITIVE)
+    lf_steps: int = field(default=50_000, metadata={"ge": 0})
+    hf_steps: int = field(default=50_000, metadata={"ge": 0})
+    loss_stride: int = field(default=100, metadata=_COUNT)
+    n_adapt_layers: int = 1  # lies in [1, number of hidden layers]
     beta: float | None = None
     teacher_kernel: Kernel = field(default_factory=default_teacher_kernel)
     gp_kernel: Kernel | None = None  # None -> RBF sized from the training data
     # deterministic benchmark data: keep the noise ceiling small so model error
     # cannot be explained away as observation noise
-    gp_noise_bounds: tuple[float, float] | None = (1e-10, 1e-4)
+    gp_noise_bounds: Bounds | None = field(default=(1e-10, 1e-4), metadata=_NOISE_BOUNDS)
     ck_kernel_l: Kernel | None = None
     ck_kernel_corr: Kernel | None = None
-    ck_noise_bounds: tuple[float, float] | None = (1e-10, 1e-4)
-    rho_bounds: tuple[float, float] = DEFAULT_RHO_BOUNDS
+    ck_noise_bounds: Bounds | None = field(default=(1e-10, 1e-4), metadata=_NOISE_BOUNDS)
+    rho_bounds: Bounds | None = field(default=DEFAULT_RHO_BOUNDS, metadata={"ordered": True})
     standardize_nn: bool = True
     standardize_gp_inputs: bool = False
     data: DataConfig = field(default_factory=DataConfig)
     replication: ReplicationConfig = field(default_factory=ReplicationConfig)
-    compare_methods: tuple[str, ...] = METHODS
+    compare_methods: tuple[str, ...] = field(default=METHODS, metadata={"choices": METHODS})
     save_models: bool = False
 
     def resolved_rates(self) -> tuple[float, float]:
@@ -172,197 +191,31 @@ def _auto_rbf(X: np.ndarray, amplitude: float = 1.0) -> Kernel:
                length_bounds=(med * 1e-3, med * 1e3))
 
 
-def _check_keys(obj: dict, allowed: tuple[str, ...], path: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown key {unknown[0]!r}")
-
-
-def _get(obj: dict, key: str, path: str, kind, default, required: bool = False):
-    if key not in obj:
-        if required:
-            raise ConfigurationError(f"{path}.{key}: required")
-        return default
-    value = obj[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"{path}.{key}: expected a number")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(f"{path}.{key}: expected an integer")
-        return value
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigurationError(f"{path}.{key}: expected a boolean")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigurationError(f"{path}.{key}: expected a string")
-        return value
-    raise AssertionError(kind)
-
-
-def _get_bounds(obj: dict, key: str, path: str, default):
-    if key not in obj:
-        return default
-    value = obj[key]
-    if value is None:
-        return None
-    if (not isinstance(value, list) or len(value) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-        raise ConfigurationError(f"{path}.{key}: expected [lower, upper] numbers or null")
-    return (float(value[0]), float(value[1]))
-
-
-def _parse_arch(obj, path: str, default: ArchConfig) -> ArchConfig:
-    if obj is None:
-        return default
-    if not isinstance(obj, dict):
-        raise ConfigurationError(f"{path}: expected an object")
-    _check_keys(obj, ("hidden_widths", "activations", "skips"), path)
-    widths = obj.get("hidden_widths", list(default.hidden_widths))
-    acts = obj.get("activations", list(default.activations))
-    skips = obj.get("skips", [list(s) for s in default.skips])
-    if (not isinstance(widths, list) or not widths
-            or any(isinstance(w, bool) or not isinstance(w, int) for w in widths)):
-        raise ConfigurationError(f"{path}.hidden_widths: expected a nonempty integer list")
-    if not isinstance(acts, list) or any(not isinstance(a, str) for a in acts):
-        raise ConfigurationError(f"{path}.activations: expected a string list")
-    if len(acts) != len(widths):
-        raise ConfigurationError(f"{path}.activations: need one entry per hidden layer")
-    if not isinstance(skips, list) or any(
-            not isinstance(s, list) or len(s) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in s) for s in skips):
-        raise ConfigurationError(f"{path}.skips: expected a list of [source, target] pairs")
-    arch = ArchConfig(tuple(widths), tuple(acts), tuple((s, t) for s, t in skips))
-    try:
-        arch.to_spec(1)  # surface bad widths/activations/skips now, not mid-run
-    except ConfigurationError as e:
-        raise ConfigurationError(f"{path}: {e}") from e
-    return arch
-
-
-def _parse_kernel(obj, path: str, default: Kernel) -> Kernel:
-    if obj is None:
-        return default
-    if not isinstance(obj, dict):
-        raise ConfigurationError(f"{path}: expected a kernel object")
-    return kernel_from_dict(obj, path=path)
-
-
 def config_from_dict(obj: dict) -> ExperimentConfig:
-    if not isinstance(obj, dict):
-        raise ConfigurationError("config: expected a JSON object")
-    allowed = (
-        "method", "master_seed", "n_l", "n_h", "n_v", "network", "head",
-        "lf_eta", "hf_eta", "lf_steps", "hf_steps", "loss_stride",
-        "n_adapt_layers", "beta", "teacher_kernel", "gp_kernel",
-        "gp_noise_bounds", "ck_kernel_l", "ck_kernel_corr", "ck_noise_bounds",
-        "rho_bounds", "standardize_nn", "standardize_gp_inputs", "data",
-        "replication", "compare_methods", "save_models",
-    )
-    _check_keys(obj, allowed, "config")
-    method = _get(obj, "method", "config", str, None, required=True)
-    if method not in METHODS:
-        raise ConfigurationError(f"config.method: unknown method {method!r}")
-    master_seed = _get(obj, "master_seed", "config", int, None, required=True)
-    if master_seed < 0:
-        raise ConfigurationError("config.master_seed: must be nonnegative")
-
-    sizes = {}
-    for key, default in (("n_l", 250), ("n_h", 20), ("n_v", 50)):
-        sizes[key] = _get(obj, key, "config", int, default)
-        if sizes[key] < 1:
-            raise ConfigurationError(f"config.{key}: must be >= 1")
-
-    data_obj = obj.get("data", {})
-    if not isinstance(data_obj, dict):
-        raise ConfigurationError("config.data: expected an object")
-    _check_keys(data_obj, ("source", "lf_path", "hf_path", "val_path", "pool_size"), "config.data")
-    source = _get(data_obj, "source", "config.data", str, "beam")
-    if source not in ("beam", "csv"):
-        raise ConfigurationError(f"config.data.source: unknown source {source!r}")
-    pool_size = _get(data_obj, "pool_size", "config.data", int, None)
-    if pool_size is not None and pool_size < 1:
-        raise ConfigurationError("config.data.pool_size: must be >= 1")
-    paths = {k: _get(data_obj, k, "config.data", str, None)
-             for k in ("lf_path", "hf_path", "val_path")}
-    if source == "csv":
-        for k, v in paths.items():
-            if v is None:
-                raise ConfigurationError(f"config.data.{k}: required for the csv source")
-    data_cfg = DataConfig(source=source, pool_size=pool_size, **paths)
-
-    rep_obj = obj.get("replication", {})
-    if not isinstance(rep_obj, dict):
-        raise ConfigurationError("config.replication: expected an object")
-    _check_keys(rep_obj, ("mode", "n", "nh_values", "n_seeds"), "config.replication")
-    mode = _get(rep_obj, "mode", "config.replication", str, "single")
-    if mode not in ("single", "init_replicates", "dataset_replicates", "nh_sweep"):
-        raise ConfigurationError(f"config.replication.mode: unknown mode {mode!r}")
-    n = _get(rep_obj, "n", "config.replication", int, 30)
-    if n < 1:
-        raise ConfigurationError("config.replication.n: must be >= 1")
-    nh_values = rep_obj.get("nh_values", [])
-    if (not isinstance(nh_values, list)
-            or any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in nh_values)):
-        raise ConfigurationError("config.replication.nh_values: expected positive integers")
-    n_seeds = _get(rep_obj, "n_seeds", "config.replication", int, 1)
-    if n_seeds < 1:
-        raise ConfigurationError("config.replication.n_seeds: must be >= 1")
-    rep_cfg = ReplicationConfig(mode=mode, n=n, nh_values=tuple(nh_values), n_seeds=n_seeds)
-
-    compare = obj.get("compare_methods", list(METHODS))
-    if not isinstance(compare, list) or not compare or any(m not in METHODS for m in compare):
-        raise ConfigurationError("config.compare_methods: expected a nonempty list of method names")
-
-    lf_eta = _get(obj, "lf_eta", "config", float, None)
-    hf_eta = _get(obj, "hf_eta", "config", float, None)
-    for name, value in (("lf_eta", lf_eta), ("hf_eta", hf_eta)):
-        if value is not None and not value > 0:
-            raise ConfigurationError(f"config.{name}: must be positive")
-    steps = {}
-    for name, default in (("lf_steps", 50_000), ("hf_steps", 50_000), ("loss_stride", 100)):
-        steps[name] = _get(obj, name, "config", int, default)
-        if steps[name] < 0 or (name == "loss_stride" and steps[name] < 1):
-            raise ConfigurationError(f"config.{name}: out of range")
-    network = _parse_arch(obj.get("network"), "config.network", ArchConfig())
-    n_adapt = _get(obj, "n_adapt_layers", "config", int, 1)
-    if not 1 <= n_adapt <= len(network.hidden_widths):
+    cfg = parse(ExperimentConfig, obj, "config", {Kernel: kernel_from_dict})
+    # the rules that tie several keys together
+    for key in ("network", "head"):
+        arch = getattr(cfg, key)
+        if len(arch.activations) != len(arch.hidden_widths):
+            raise ConfigurationError(f"config.{key}.activations: need one entry per hidden layer")
+        try:
+            arch.to_spec(1)  # surface bad widths/activations/skips now, not mid-run
+        except ConfigurationError as e:
+            raise ConfigurationError(f"config.{key}: {e}") from e
+    if not 1 <= cfg.n_adapt_layers <= len(cfg.network.hidden_widths):
         raise ConfigurationError(
-            f"config.n_adapt_layers: must lie in [1, {len(network.hidden_widths)}]")
-
-    cfg = ExperimentConfig(
-        method=method,
-        master_seed=master_seed,
-        n_l=sizes["n_l"], n_h=sizes["n_h"], n_v=sizes["n_v"],
-        network=network,
-        head=_parse_arch(obj.get("head"), "config.head", ArchConfig((20,), ("elu",))),
-        lf_eta=lf_eta, hf_eta=hf_eta,
-        lf_steps=steps["lf_steps"], hf_steps=steps["hf_steps"],
-        loss_stride=steps["loss_stride"],
-        n_adapt_layers=n_adapt,
-        beta=_get(obj, "beta", "config", float, None),
-        teacher_kernel=_parse_kernel(obj.get("teacher_kernel"), "config.teacher_kernel",
-                                     default_teacher_kernel()),
-        gp_kernel=_parse_kernel(obj.get("gp_kernel"), "config.gp_kernel", None),
-        gp_noise_bounds=_get_bounds(obj, "gp_noise_bounds", "config", (1e-10, 1e-4)),
-        ck_kernel_l=_parse_kernel(obj.get("ck_kernel_l"), "config.ck_kernel_l", None),
-        ck_kernel_corr=_parse_kernel(obj.get("ck_kernel_corr"), "config.ck_kernel_corr", None),
-        ck_noise_bounds=_get_bounds(obj, "ck_noise_bounds", "config", (1e-10, 1e-4)),
-        rho_bounds=_get_bounds(obj, "rho_bounds", "config", DEFAULT_RHO_BOUNDS),
-        standardize_nn=_get(obj, "standardize_nn", "config", bool, True),
-        standardize_gp_inputs=_get(obj, "standardize_gp_inputs", "config", bool, False),
-        data=data_cfg,
-        replication=rep_cfg,
-        compare_methods=tuple(compare),
-        save_models=_get(obj, "save_models", "config", bool, False),
-    )
+            f"config.n_adapt_layers: must lie in [1, {len(cfg.network.hidden_widths)}]")
+    if cfg.data.source == "csv":
+        for key in ("lf_path", "hf_path", "val_path"):
+            if getattr(cfg.data, key) is None:
+                raise ConfigurationError(f"config.data.{key}: required for the csv source")
+    if not cfg.compare_methods:
+        raise ConfigurationError("config.compare_methods: expected at least one method")
     return cfg
 
 
-def config_from_file(path: str | Path) -> ExperimentConfig:
+def config_from_file(path: str | Path, **overrides) -> ExperimentConfig:
+    """Parse a JSON config file whose top-level keys ``overrides`` replace."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
@@ -371,7 +224,7 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigurationError(f"config: invalid JSON in {path}: {e}") from e
-    return config_from_dict(obj)
+    return config_from_dict({**obj, **overrides} if isinstance(obj, dict) else obj)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +355,7 @@ def _run_bftl2(cfg: ExperimentConfig, problem: Problem, rep: int):
 def _run_bfwl(cfg: ExperimentConfig, problem: Problem, rep: int):
     seed = cfg.master_seed
     spec, student, lf_hist, xs, ys = _lf_stage(cfg, problem, rep)
-    tcfg = TransferConfig(lf_train=cfg.lf_adam(), hf_train=cfg.hf_adam(),
-                          n_adapt_layers=cfg.n_adapt_layers, beta=cfg.resolved_beta(),
+    tcfg = TransferConfig(hf_train=cfg.hf_adam(), beta=cfg.resolved_beta(),
                           teacher_kernel=cfg.teacher_kernel)
     params, hf_hist = bfwl(spec, student, _scaled(problem.data_l, xs, ys),
                            _scaled(problem.data_h, xs, ys), tcfg,
@@ -576,6 +428,99 @@ _RUNNERS = {
 # model artifacts
 
 
+# The artifact schema, one dataclass per kind.  load_artifact parses a saved
+# artifact through it; a dimension name such as "d" (the input columns) takes
+# one size throughout an artifact.
+
+
+@dataclass(frozen=True)
+class _InputScaler:
+    mean: tuple[float, ...] = field(metadata={"shape": ("d",)})
+    scale: tuple[float, ...] = field(metadata={"shape": ("d",), "gt": 0})
+
+
+@dataclass(frozen=True)
+class _OutputScaler:
+    mean: tuple[float, ...] = field(metadata={"shape": (1,)})
+    scale: tuple[float, ...] = field(metadata={"shape": (1,), "gt": 0})
+
+
+@dataclass(frozen=True)
+class _SavedActivation:
+    kind: str
+    alpha: float
+
+
+@dataclass(frozen=True)
+class _SavedArch:
+    input_dim: int
+    hidden_widths: tuple[int, ...]
+    activations: tuple[_SavedActivation, ...]
+    skips: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class _SavedNetwork:
+    arch: _SavedArch
+    params_b64: str
+
+
+@dataclass(frozen=True)
+class _Artifact:
+    kind: str
+    x_scaler: _InputScaler
+    y_scaler: _OutputScaler
+
+
+@dataclass(frozen=True)
+class _NetworkArtifact(_Artifact):
+    arch: _SavedArch
+    params_b64: str
+
+
+@dataclass(frozen=True)
+class _StackedArtifact(_Artifact):
+    base: _SavedNetwork
+    head: _SavedNetwork
+
+
+@dataclass(frozen=True)
+class _GPArtifact(_Artifact):
+    kernel: Kernel
+    noise_var: float = field(metadata={"ge": 0})
+    x_fit: tuple[tuple[float, ...], ...] = field(metadata={"shape": ("n", "d")})
+    y_fit: tuple[float, ...] = field(metadata={"shape": ("n",)})
+
+
+@dataclass(frozen=True)
+class _CoKrigingArtifact(_Artifact):
+    kernel_l: Kernel
+    kernel_corr: Kernel
+    rho: float
+    noise_l: float = field(metadata={"ge": 0})
+    noise_h: float = field(metadata={"ge": 0})
+    x_l: tuple[tuple[float, ...], ...] = field(metadata={"shape": ("n_l", "d")})
+    y_l: tuple[float, ...] = field(metadata={"shape": ("n_l",)})
+    x_h: tuple[tuple[float, ...], ...] = field(metadata={"shape": ("n_h", "d")})
+    y_h: tuple[float, ...] = field(metadata={"shape": ("n_h",)})
+
+
+_ARTIFACT_KINDS = {
+    "network": _NetworkArtifact,
+    "stacked": _StackedArtifact,
+    "gp": _GPArtifact,
+    "cokriging": _CoKrigingArtifact,
+}
+
+
+def _saved_kernel(obj, path: str) -> Kernel:
+    kernel = kernel_from_dict(obj, path)
+    # a saved kernel lists every hyperparameter; a missing one would take its default
+    if kernel_to_dict(kernel) != obj:
+        raise ConfigurationError(f"{path}: a saved kernel must list every hyperparameter")
+    return kernel
+
+
 def _scaler_dict(s: Standardizer) -> dict:
     return {"mean": s.mean.tolist(), "scale": s.scale.tolist()}
 
@@ -595,7 +540,7 @@ def _arch_dict(spec: NetworkSpec) -> dict:
 
 
 def _arch_from_dict(d: dict) -> NetworkSpec:
-    acts = tuple(Activation(a["kind"], a.get("alpha", 1.0)) for a in d["activations"])
+    acts = tuple(Activation(a["kind"], a["alpha"]) for a in d["activations"])
     return NetworkSpec(d["input_dim"], tuple(d["hidden_widths"]), acts,
                        tuple((s, t) for s, t in d["skips"]))
 
@@ -609,8 +554,11 @@ def _network_blob(spec: NetworkSpec, params) -> dict:
 
 def _network_from_blob(d: dict):
     spec = _arch_from_dict(d["arch"])
-    params = params_from_bytes(spec, base64.b64decode(d["params_b64"]))
-    return spec, params
+    try:
+        blob = base64.b64decode(d["params_b64"], validate=True)
+    except binascii.Error as e:
+        raise ConfigurationError(f"params_b64: not base64: {e}") from e
+    return spec, params_from_bytes(spec, blob)
 
 
 def _network_artifact(spec, params, xs, ys) -> dict:
@@ -624,7 +572,11 @@ def predict_from_artifact(artifact: dict, X: np.ndarray) -> np.ndarray:
     kind = artifact.get("kind")
     xs = _scaler_from_dict(artifact["x_scaler"])
     ys = _scaler_from_dict(artifact["y_scaler"])
-    Xq = xs.transform(np.asarray(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != xs.mean.shape[0]:
+        raise ConfigurationError(
+            f"query has shape {X.shape}; the model takes {xs.mean.shape[0]} input columns")
+    Xq = xs.transform(X)
     if kind == "network":
         spec, params = _network_from_blob(artifact)
         return ys.inverse(predict_batch(spec, params, Xq))
@@ -657,12 +609,21 @@ def save_artifact(path: str | Path, artifact: dict) -> None:
 
 
 def load_artifact(path: str | Path) -> dict:
+    """Read a saved model and check it against its kind's schema."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise ConfigurationError(f"cannot load model artifact {path}: {e}") from e
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigurationError(f"model artifact {path} has no 'kind' field")
+    kind = obj["kind"]
+    schema = _ARTIFACT_KINDS.get(kind) if isinstance(kind, str) else None
+    if schema is None:
+        raise ConfigurationError(f"model artifact {path}: unknown model artifact kind {kind!r}")
+    try:
+        parse(schema, obj, "artifact", {Kernel: _saved_kernel})
+    except ConfigurationError as e:
+        raise ConfigurationError(f"model artifact {path}: {e}") from e
     return obj
 
 

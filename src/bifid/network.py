@@ -285,11 +285,17 @@ def params_to_bytes(spec: NetworkSpec, params: NetworkParams) -> bytes:
 
 
 def params_from_bytes(spec: NetworkSpec, blob: bytes) -> NetworkParams:
-    newline = blob.index(b"\n")
-    header = json.loads(blob[:newline].decode("utf-8"))
-    if header.get("format") != _FORMAT:
-        raise ConfigurationError(f"unknown params format {header.get('format')!r}")
+    head, _, payload = blob.partition(b"\n")
+    try:
+        header = json.loads(head)
+    except ValueError as e:  # not UTF-8 or not JSON
+        raise ConfigurationError(f"params blob has no readable header: {e}") from e
+    if not isinstance(header, dict) or header.get("format") != _FORMAT:
+        raise ConfigurationError(f"params blob is not in the {_FORMAT} format")
     if header.get("entries") != _header_entries(spec) or header.get("input_dim") != spec.input_dim:
         raise ConfigurationError("serialized shapes do not match the network spec")
-    flat = np.frombuffer(blob[newline + 1 :], dtype="<f8").astype(np.float64)
+    if len(payload) != 8 * spec.n_params:
+        raise ConfigurationError(
+            f"params payload has {len(payload)} bytes, the spec needs {8 * spec.n_params}")
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return NetworkParams.from_flat(spec, flat)

@@ -62,19 +62,6 @@ class AdamConfig:
         return float(self.eta[k - 1])
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators and the completed-step counter."""
-
-    m: np.ndarray
-    v: np.ndarray
-    k: int = 0
-
-    @classmethod
-    def fresh(cls, n_params: int) -> "AdamState":
-        return cls(m=np.zeros(n_params), v=np.zeros(n_params), k=0)
-
-
 @dataclass(frozen=True)
 class TrainMask:
     """Boolean flag per flat parameter component; True means trainable."""
@@ -88,10 +75,6 @@ class TrainMask:
         if not flags.any():
             raise ConfigurationError("mask must leave at least one component trainable")
         object.__setattr__(self, "flags", flags)
-
-    @classmethod
-    def all_trainable(cls, spec: NetworkSpec) -> "TrainMask":
-        return cls(np.ones(spec.n_params, dtype=bool))
 
     @classmethod
     def upper_layers(cls, spec: NetworkSpec, n_adapt: int) -> "TrainMask":
@@ -108,34 +91,6 @@ class TrainMask:
         return cls(flags)
 
 
-def adam_step(
-    state: AdamState,
-    params: np.ndarray,
-    grad: np.ndarray,
-    eta_k: float,
-    weight: float = 1.0,
-    mask: TrainMask | None = None,
-    b_m: float = 0.9,
-    b_v: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam step with the sample weight scaling eta_k."""
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    if params.shape != grad.shape:
-        raise ConfigurationError("params and grad shapes differ")
-    if mask is not None and mask.flags.shape != params.shape:
-        raise ConfigurationError("mask and params shapes differ")
-    p = params.copy()
-    m = state.m.copy()
-    v = state.v.copy()
-    k = _adam_update(
-        p, m, v, grad, state.k, eta_k, weight,
-        mask.flags if mask is not None else None, b_m, b_v, eps,
-    )
-    return AdamState(m=m, v=v, k=k), p
-
-
 def _adam_update(
     p: np.ndarray,
     m: np.ndarray,
@@ -149,7 +104,7 @@ def _adam_update(
     b_v: float,
     eps: float,
 ) -> int:
-    """In-place update shared by adam_step and the training loop."""
+    """One in-place bias-corrected Adam step; the sample weight scales eta_k."""
     if not eta_k > 0:
         raise ConfigurationError("eta_k must be positive")
     if not weight > 0:

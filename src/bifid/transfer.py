@@ -15,7 +15,6 @@ scarce high-fidelity data:
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -26,8 +25,6 @@ from .errors import ConfigurationError
 from .gp import RBF, Bounds, GPModel, Kernel, SumKernel, WhiteNoise, gp_optimize, gp_predict
 from .network import NetworkParams, NetworkSpec, init_params, predict_batch
 from .optimizers import AdamConfig, TrainMask, train
-
-log = logging.getLogger(__name__)
 
 History = list[tuple[int, float]]
 
@@ -88,18 +85,12 @@ def default_teacher_kernel() -> Kernel:
 
 @dataclass(frozen=True)
 class TransferConfig:
-    """Per-stage optimizer settings plus the transfer knobs."""
+    """Distillation settings: the optimizer stage plus the teacher and trust knobs."""
 
-    lf_train: AdamConfig
     hf_train: AdamConfig
-    n_adapt_layers: int = 1
     beta: float = 0.0
     teacher_kernel: Kernel = field(default_factory=default_teacher_kernel)
     teacher_noise_bounds: Bounds | None = None
-
-    def __post_init__(self):
-        if self.n_adapt_layers < 1:
-            raise ConfigurationError("n_adapt_layers must be >= 1")
 
 
 def train_lowfi(
@@ -178,11 +169,8 @@ def make_soft_dataset(teacher: GPModel, X_l: np.ndarray, X_h: np.ndarray) -> Sof
 
 
 def distillation_weights(variances: np.ndarray, beta: float) -> np.ndarray:
-    """Per-sample step-size multipliers exp(-beta * variance)."""
-    if beta < 0:
-        log.warning(
-            "trust parameter beta=%g is negative: uncertain rows get weights above 1", beta
-        )
+    """Per-sample step-size multipliers exp(-beta * variance); beta < 0 favours
+    the rows where the teacher is uncertain."""
     return np.exp(-beta * np.asarray(variances, dtype=np.float64))
 
 

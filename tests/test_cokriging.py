@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from bifid.cokriging import ck_fit, ck_nll, ck_optimize, ck_predict, ck_predict_batch
+from bifid import cokriging
+from bifid.cokriging import ck_fit, ck_nll, ck_optimize, ck_predict_batch
 from bifid.errors import ConfigurationError
 from bifid.gp import RBF, Matern, gp_fit, gp_predict
 
@@ -17,6 +18,12 @@ def spread_points(rng, n, d, min_sep=0.3):
         if all(np.linalg.norm(cand - p) >= min_sep for p in pts):
             pts.append(cand)
     return np.asarray(pts)
+
+
+def ck_point(model, x):
+    """Posterior at one query, through the batch path."""
+    means, variances = ck_predict_batch(model, np.asarray(x)[None, :])
+    return float(means[0]), float(variances[0])
 
 
 def dense_joint(X_h, X_l, k_l, k_c, rho, nh, nl):
@@ -70,7 +77,7 @@ class TestFitPredict:
             ])
             mean_o = k_vec @ Kinv @ stacked
             var_o = rho * rho * k_l.point(x, x) + k_c.point(x, x) - k_vec @ Kinv @ k_vec
-            mean, var = ck_predict(model, x)
+            mean, var = ck_point(model, x)
             np.testing.assert_allclose(mean, mean_o, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(var, max(var_o, 0.0), rtol=1e-9, atol=1e-12)
 
@@ -91,7 +98,7 @@ class TestFitPredict:
                     rho=0.0, noise_l=1e-4, noise_h=1e-4)
         gp = gp_fit(X_h, y_h, k_corr, noise_var=1e-4)
         for x in rng.uniform(-2, 2, size=(12, 2)):
-            m_ck, v_ck = ck_predict(ck, x)
+            m_ck, v_ck = ck_point(ck, x)
             m_gp, v_gp = gp_predict(gp, x)
             np.testing.assert_allclose(m_ck, m_gp, rtol=1e-8, atol=1e-12)
             np.testing.assert_allclose(v_ck, v_gp, rtol=1e-8, atol=1e-12)
@@ -106,7 +113,7 @@ class TestFitPredict:
         queries = rng.uniform(-2, 2, size=(8, 2))
         means, variances = ck_predict_batch(model, queries)
         for i, q in enumerate(queries):
-            m, v = ck_predict(model, q)
+            m, v = ck_point(model, q)
             np.testing.assert_allclose(means[i], m, rtol=1e-12, atol=1e-13)
             np.testing.assert_allclose(variances[i], v, rtol=1e-10, atol=1e-12)
 
@@ -202,3 +209,20 @@ class TestOptimize:
         direct = ck_fit(X_l, y_l, X_h, y_h, RBF(), RBF(amplitude=0.2), 0.7, 1e-4, 1e-4)
         np.testing.assert_array_equal(model.dual, direct.dual)
         assert model.rho == 0.7
+
+    def test_unexpected_errors_surface_at_the_first_evaluation(self, monkeypatch):
+        # only an ill-conditioned Gram counts as an infeasible point; any other
+        # exception is a fault and must not be retried over every start
+        X_l, y_l, X_h, y_h, rng = self.make_problem(seed=12)
+        calls = []
+
+        def broken_nll(*args):
+            calls.append(args)
+            raise TypeError("injected")
+
+        monkeypatch.setattr(cokriging, "ck_nll", broken_nll)
+        with pytest.raises(TypeError, match="injected"):
+            ck_optimize(X_l, y_l, X_h, y_h,
+                        RBF(amplitude_bounds=(0.05, 10.0), length_bounds=(0.2, 10.0)),
+                        RBF(amplitude=0.1), rng=rng)
+        assert len(calls) == 1

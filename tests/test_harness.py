@@ -115,6 +115,12 @@ class TestConfigParsing:
         cfg = config_from_dict({**self.base(), "hf_eta": 5e-5})
         assert cfg.resolved_rates() == (1e-3, 5e-5)
 
+    def test_method_defaults_are_the_dataclass_defaults(self):
+        # the dataclass declarations are the one source of every default
+        for method in METHODS:
+            assert (config_from_dict({"method": method, "master_seed": 0})
+                    == ExperimentConfig(method=method, master_seed=0))
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigurationError, match="config: unknown key 'typo'"):
             config_from_dict({**self.base(), "typo": 1})
@@ -597,15 +603,82 @@ class TestCli:
                        "hf_path": str(data_dir / "highfi3.csv"),
                        "val_path": str(data_dir / "validation.csv")}},
              "have 4, 3 and 4 input columns"),
-            # raised inside each worker and passed through unchanged
-            ({"method": "gp_only", "gp_noise_bounds": [1e-4, 1e-10]},
-             "noise bounds must satisfy"),
+            # raised inside each worker and passed through unchanged (the parser
+            # refuses a reversed pair, but not a zero lower bound)
+            ({"method": "gp_only", "gp_noise_bounds": [0, 1e-4]},
+             "noise lower bound must be positive"),
         ]
         for overrides, message in cases:
             cfg = self.write_config(tmp_path, replication=reps, **overrides)
             assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and message in err, err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"rho_bounds": [5, -5]}, "config.rho_bounds: lower bound 5.0 exceeds upper bound -5.0"),
+        ({"gp_noise_bounds": [1e-4, -1]}, "config.gp_noise_bounds[1]: must be >= 0"),
+        ({"beta": float("nan")}, "config.beta: must be finite"),
+        ({"lf_eta": float("inf")}, "config.lf_eta: must be finite"),
+        ({"gp_kernel": {"kind": "rbf", "amplitude": "x"}},
+         "config.gp_kernel.amplitude: expected a number"),
+        ({"gp_kernel": {"kind": "rbf", "amplitude": True}},
+         "config.gp_kernel.amplitude: expected a number"),
+    ])
+    def test_bad_config_values_exit_2(self, tmp_path, capsys, overrides, message):
+        cfg = self.write_config(tmp_path, **overrides)
+        for cmd in ("train", "replicate"):
+            assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "bogus"], "config.method: 'bogus' is not one of"),
+        (["--seed", "-1"], "config.master_seed: must be >= 0"),
+    ])
+    def test_bad_override_flags_exit_2(self, tmp_path, capsys, flags, message):
+        # the flags pass through the same parser as the config file
+        cfg = self.write_config(tmp_path)
+        for cmd in ("train", "replicate"):
+            assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "r"), *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}"), err
+
+    def test_evaluate_rejects_bad_artifacts_and_data(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        saved = json.loads((tmp_path / "run" / "models" / "standard_hf.json").read_text())
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,x3,x4,y\n1,2,3,4,5\n", encoding="utf-8")
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("x1,y\n1,5\n", encoding="utf-8")
+
+        def without(d, *keys):
+            d = json.loads(json.dumps(d))
+            target = d
+            for key in keys[:-1]:
+                target = target[key]
+            del target[keys[-1]]
+            return d
+
+        blob = base64.b64decode(saved["params_b64"])
+        cases = [
+            (without(saved, "x_scaler"), data, "artifact.x_scaler: required"),
+            ({**saved, "x_scaler": "x"}, data, "artifact.x_scaler: expected an object"),
+            ({**saved, "params_b64": "not base64!"}, data, "params_b64: not base64"),
+            ({**saved, "params_b64": base64.b64encode(blob[:-8]).decode()}, data,
+             "params payload has"),
+            (without(saved, "arch", "activations"), data,
+             "artifact.arch.activations: required"),
+            (saved, narrow, "query has shape (1, 1); the model takes 4 input columns"),
+            (saved, tmp_path / "missing.csv", f"{tmp_path / 'missing.csv'}: cannot read"),
+        ]
+        model = tmp_path / "model.json"
+        for artifact, csv, message in cases:
+            model.write_text(json.dumps(artifact), encoding="utf-8")
+            assert main(["evaluate", "--model", str(model), "--data", str(csv)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err, err
+        model.write_text(json.dumps(saved), encoding="utf-8")
+        assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 0
 
     def test_evaluate_rejects_malformed_csv(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from bifid.datasets import Dataset
 from bifid.errors import ConfigurationError
 from bifid.network import Activation, NetworkParams, NetworkSpec, init_params
-from bifid.optimizers import AdamConfig, AdamState, TrainMask, adam_step, train
+from bifid.optimizers import AdamConfig, TrainMask, _adam_update, train
 
 ELU = Activation("elu")
 
@@ -26,46 +26,55 @@ def reference_adam(params, grads, eta, b_m=0.9, b_v=0.999, eps=1e-8):
     return p
 
 
+def adam_once(p, g, eta_k, weight=1.0, flags=None, m=None, v=None, k=0, eps=1e-8):
+    """One in-place _adam_update on copies of p, m and v; returns them and the step count."""
+    p = np.array(p, dtype=np.float64)
+    m = np.zeros_like(p) if m is None else m.copy()
+    v = np.zeros_like(p) if v is None else v.copy()
+    k = _adam_update(p, m, v, np.asarray(g, dtype=np.float64), k, eta_k, weight, flags,
+                     0.9, 0.999, eps)
+    return p, m, v, k
+
+
 class TestAdamStep:
     def test_first_step_direction_identity(self):
         rng = np.random.default_rng(42)
         g = rng.normal(size=37) * 10.0 ** rng.integers(-3, 4, size=37)
         p0 = rng.normal(size=37)
         eta, eps = 3e-3, 1e-8
-        state, p1 = adam_step(AdamState.fresh(37), p0, g, eta_k=eta, eps=eps)
+        p1, _, _, k = adam_once(p0, g, eta_k=eta, eps=eps)
         expected = p0 - eta * g / (np.abs(g) + eps)
         np.testing.assert_allclose(p1, expected, rtol=1e-12)
-        assert state.k == 1
+        assert k == 1
 
     def test_first_step_bias_correction_recovers_gradient(self):
         g = np.array([0.25, -3.0, 1e-4])
-        state, _ = adam_step(AdamState.fresh(3), np.zeros(3), g, eta_k=1e-3)
-        m_hat = state.m / (1 - 0.9**1)
-        v_hat = state.v / (1 - 0.999**1)
+        _, m, v, _ = adam_once(np.zeros(3), g, eta_k=1e-3)
+        m_hat = m / (1 - 0.9**1)
+        v_hat = v / (1 - 0.999**1)
         np.testing.assert_allclose(m_hat, g, rtol=1e-15)
         np.testing.assert_allclose(v_hat, g * g, rtol=1e-15)
 
     def test_scalar_frozen_value(self):
         # p0=1, g=2, eta=0.5: first step is 1 - 0.5*2/(2+1e-8) = 0.5000000025
-        _, p1 = adam_step(AdamState.fresh(1), np.array([1.0]), np.array([2.0]), eta_k=0.5)
+        p1 = adam_once([1.0], [2.0], eta_k=0.5)[0]
         np.testing.assert_allclose(p1, [0.5000000025], rtol=1e-12)
 
     def test_matches_reference_recursion(self):
         rng = np.random.default_rng(9)
         p0 = rng.normal(size=4)
         grads = [rng.normal(size=4) for _ in range(6)]
-        state = AdamState.fresh(4)
-        p = p0.copy()
+        p, m, v, k = p0, None, None, 0
         for g in grads:
-            state, p = adam_step(state, p, g, eta_k=0.01)
+            p, m, v, k = adam_once(p, g, eta_k=0.01, m=m, v=v, k=k)
         expected = reference_adam(p0.tolist(), [g.tolist() for g in grads], eta=0.01)
         np.testing.assert_allclose(p, expected, rtol=1e-14)
 
     def test_weight_scales_learning_rate_exactly(self):
         g = np.array([1.0, -2.0, 0.5])
         p0 = np.ones(3)
-        _, a = adam_step(AdamState.fresh(3), p0, g, eta_k=2e-3, weight=0.25)
-        _, b = adam_step(AdamState.fresh(3), p0, g, eta_k=2e-3 * 0.25, weight=1.0)
+        a = adam_once(p0, g, eta_k=2e-3, weight=0.25)[0]
+        b = adam_once(p0, g, eta_k=2e-3 * 0.25, weight=1.0)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_mask_freezes_params_and_moments_bitwise(self):
@@ -74,23 +83,22 @@ class TestAdamStep:
         p0 = rng.normal(size=n)
         m0 = rng.normal(size=n) * 0.1
         v0 = np.abs(rng.normal(size=n)) * 0.1
-        state = AdamState(m=m0.copy(), v=v0.copy(), k=3)
         flags = np.zeros(n, dtype=bool)
         flags[::2] = True
-        mask = TrainMask(flags)
         g = rng.normal(size=n)
-        new_state, p1 = adam_step(state, p0, g, eta_k=1e-2, mask=mask)
+        p1, m1, v1, _ = adam_once(p0, g, eta_k=1e-2, flags=TrainMask(flags).flags,
+                                  m=m0, v=v0, k=3)
         frozen = ~flags
         np.testing.assert_array_equal(p1[frozen], p0[frozen])
-        np.testing.assert_array_equal(new_state.m[frozen], m0[frozen])
-        np.testing.assert_array_equal(new_state.v[frozen], v0[frozen])
+        np.testing.assert_array_equal(m1[frozen], m0[frozen])
+        np.testing.assert_array_equal(v1[frozen], v0[frozen])
         assert np.all(p1[flags] != p0[flags])
 
     def test_rejects_nonpositive_weight_or_eta(self):
         with pytest.raises(ConfigurationError):
-            adam_step(AdamState.fresh(1), np.ones(1), np.ones(1), eta_k=1e-3, weight=0.0)
+            adam_once(np.ones(1), np.ones(1), eta_k=1e-3, weight=0.0)
         with pytest.raises(ConfigurationError):
-            adam_step(AdamState.fresh(1), np.ones(1), np.ones(1), eta_k=-1e-3)
+            adam_once(np.ones(1), np.ones(1), eta_k=-1e-3)
 
 
 class TestTrainMask:
