@@ -222,7 +222,7 @@ def config_from_file(path: str | Path, **overrides) -> ExperimentConfig:
         raise ConfigurationError(f"config: cannot read {path}: {e}") from e
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer literal too long to read
         raise ConfigurationError(f"config: invalid JSON in {path}: {e}") from e
     return config_from_dict({**obj, **overrides} if isinstance(obj, dict) else obj)
 
@@ -428,9 +428,10 @@ _RUNNERS = {
 # model artifacts
 
 
-# The artifact schema, one dataclass per kind.  load_artifact parses a saved
-# artifact through it; a dimension name such as "d" (the input columns) takes
-# one size throughout an artifact.
+# The artifact schema, one dataclass per kind.  load_artifact checks a saved
+# artifact against it and predict_from_artifact predicts from the parsed form;
+# a dimension name such as "d" (the input columns) takes one size throughout
+# an artifact.
 
 
 @dataclass(frozen=True)
@@ -473,9 +474,8 @@ class _Artifact:
 
 
 @dataclass(frozen=True)
-class _NetworkArtifact(_Artifact):
-    arch: _SavedArch
-    params_b64: str
+class _NetworkArtifact(_Artifact, _SavedNetwork):
+    pass
 
 
 @dataclass(frozen=True)
@@ -525,11 +525,6 @@ def _scaler_dict(s: Standardizer) -> dict:
     return {"mean": s.mean.tolist(), "scale": s.scale.tolist()}
 
 
-def _scaler_from_dict(d: dict) -> Standardizer:
-    return Standardizer(np.asarray(d["mean"], dtype=np.float64),
-                        np.asarray(d["scale"], dtype=np.float64))
-
-
 def _arch_dict(spec: NetworkSpec) -> dict:
     return {
         "input_dim": spec.input_dim,
@@ -539,12 +534,6 @@ def _arch_dict(spec: NetworkSpec) -> dict:
     }
 
 
-def _arch_from_dict(d: dict) -> NetworkSpec:
-    acts = tuple(Activation(a["kind"], a["alpha"]) for a in d["activations"])
-    return NetworkSpec(d["input_dim"], tuple(d["hidden_widths"]), acts,
-                       tuple((s, t) for s, t in d["skips"]))
-
-
 def _network_blob(spec: NetworkSpec, params) -> dict:
     return {
         "arch": _arch_dict(spec),
@@ -552,52 +541,64 @@ def _network_blob(spec: NetworkSpec, params) -> dict:
     }
 
 
-def _network_from_blob(d: dict):
-    spec = _arch_from_dict(d["arch"])
+def _network_artifact(spec, params, xs, ys) -> dict:
+    return {"kind": "network", **_network_blob(spec, params),
+            "x_scaler": _scaler_dict(xs), "y_scaler": _scaler_dict(ys)}
+
+
+def _parse_artifact(obj, where: str):
+    """Check a model artifact against its kind's schema; return the parsed form."""
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ConfigurationError(f"{where} has no 'kind' field")
+    kind = obj["kind"]
+    schema = _ARTIFACT_KINDS.get(kind) if isinstance(kind, str) else None
+    if schema is None:
+        raise ConfigurationError(f"{where}: unknown model artifact kind {kind!r}")
     try:
-        blob = base64.b64decode(d["params_b64"], validate=True)
+        return parse(schema, obj, "artifact", {Kernel: _saved_kernel})
+    except ConfigurationError as e:
+        raise ConfigurationError(f"{where}: {e}") from e
+
+
+def _standardizer(saved) -> Standardizer:
+    return Standardizer(np.asarray(saved.mean, dtype=np.float64),
+                        np.asarray(saved.scale, dtype=np.float64))
+
+
+def _network(saved: _SavedNetwork):
+    arch = saved.arch
+    acts = tuple(Activation(a.kind, a.alpha) for a in arch.activations)
+    spec = NetworkSpec(arch.input_dim, arch.hidden_widths, acts, arch.skips)
+    try:
+        blob = base64.b64decode(saved.params_b64, validate=True)
     except binascii.Error as e:
         raise ConfigurationError(f"params_b64: not base64: {e}") from e
     return spec, params_from_bytes(spec, blob)
 
 
-def _network_artifact(spec, params, xs, ys) -> dict:
-    blob = _network_blob(spec, params)
-    return {"kind": "network", "arch": blob["arch"], "params_b64": blob["params_b64"],
-            "x_scaler": _scaler_dict(xs), "y_scaler": _scaler_dict(ys)}
-
-
 def predict_from_artifact(artifact: dict, X: np.ndarray) -> np.ndarray:
     """Raw-unit predictions at raw-unit inputs for any saved model."""
-    kind = artifact.get("kind")
-    xs = _scaler_from_dict(artifact["x_scaler"])
-    ys = _scaler_from_dict(artifact["y_scaler"])
+    a = _parse_artifact(artifact, "model artifact")
+    xs, ys = _standardizer(a.x_scaler), _standardizer(a.y_scaler)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != xs.mean.shape[0]:
         raise ConfigurationError(
             f"query has shape {X.shape}; the model takes {xs.mean.shape[0]} input columns")
     Xq = xs.transform(X)
-    if kind == "network":
-        spec, params = _network_from_blob(artifact)
+    if a.kind == "network":
+        spec, params = _network(a)
         return ys.inverse(predict_batch(spec, params, Xq))
-    if kind == "stacked":
-        base_spec, base_params = _network_from_blob(artifact["base"])
-        head_spec, head_params = _network_from_blob(artifact["head"])
+    if a.kind == "stacked":
+        base_spec, base_params = _network(a.base)
+        head_spec, head_params = _network(a.head)
         base_out = predict_batch(base_spec, base_params, Xq)
         return ys.inverse(predict_batch(head_spec, head_params, base_out[:, None]))
-    if kind == "gp":
-        model = gp_fit(np.asarray(artifact["x_fit"]), np.asarray(artifact["y_fit"]),
-                       kernel_from_dict(artifact["kernel"]), noise_var=artifact["noise_var"])
+    if a.kind == "gp":
+        model = gp_fit(np.asarray(a.x_fit), np.asarray(a.y_fit), a.kernel, noise_var=a.noise_var)
         return ys.inverse(gp_predict_batch(model, Xq)[0])
-    if kind == "cokriging":
-        model = ck_fit(np.asarray(artifact["x_l"]), np.asarray(artifact["y_l"]),
-                       np.asarray(artifact["x_h"]), np.asarray(artifact["y_h"]),
-                       kernel_from_dict(artifact["kernel_l"]),
-                       kernel_from_dict(artifact["kernel_corr"]),
-                       rho=artifact["rho"], noise_l=artifact["noise_l"],
-                       noise_h=artifact["noise_h"])
-        return ys.inverse(ck_predict_batch(model, Xq)[0])
-    raise ConfigurationError(f"unknown model artifact kind {kind!r}")
+    model = ck_fit(np.asarray(a.x_l), np.asarray(a.y_l), np.asarray(a.x_h), np.asarray(a.y_h),
+                   a.kernel_l, a.kernel_corr, rho=a.rho, noise_l=a.noise_l, noise_h=a.noise_h)
+    return ys.inverse(ck_predict_batch(model, Xq)[0])
 
 
 def save_artifact(path: str | Path, artifact: dict) -> None:
@@ -614,16 +615,7 @@ def load_artifact(path: str | Path) -> dict:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as e:
         raise ConfigurationError(f"cannot load model artifact {path}: {e}") from e
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigurationError(f"model artifact {path} has no 'kind' field")
-    kind = obj["kind"]
-    schema = _ARTIFACT_KINDS.get(kind) if isinstance(kind, str) else None
-    if schema is None:
-        raise ConfigurationError(f"model artifact {path}: unknown model artifact kind {kind!r}")
-    try:
-        parse(schema, obj, "artifact", {Kernel: _saved_kernel})
-    except ConfigurationError as e:
-        raise ConfigurationError(f"model artifact {path}: {e}") from e
+    _parse_artifact(obj, f"model artifact {path}")
     return obj
 
 

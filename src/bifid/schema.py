@@ -10,9 +10,10 @@ and ``field(metadata=...)`` adds constraints:
 - ``shape``: the lengths of a nested list, as sizes or dimension names; one
   name takes one size throughout a parsed document.
 
-Numbers must be finite, booleans are never numbers, and unknown keys are
-rejected.  Every error is a ``ConfigurationError`` that starts with the path
-of the offending key.
+A nested object takes the keys it leaves out from its field's default
+instance, not from its class's defaults.  Numbers must be finite, booleans
+are never numbers, and unknown keys are rejected.  Every error is a
+``ConfigurationError`` that starts with the path of the offending key.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ _SCALARS = {bool: "a boolean", int: "an integer", float: "a number", str: "a str
 _ENTRY_CONSTRAINTS = ("ge", "gt", "choices")
 
 
-def parse(cls, obj, path: str, hooks: dict | None = None, dims: dict | None = None):
+def parse(cls, obj, path: str, hooks: dict | None = None, dims: dict | None = None,
+          base=None):
     """Build ``cls`` from the JSON object ``obj``.
 
     ``hooks`` maps a type to the ``(value, path)`` function that parses it;
-    ``dims`` holds the sizes bound so far by ``shape`` constraints.
+    ``dims`` holds the sizes bound so far by ``shape`` constraints; ``base``,
+    an instance of ``cls``, gives the keys ``obj`` leaves out.
     """
     hooks = {} if hooks is None else hooks
     dims = {} if dims is None else dims
@@ -47,7 +50,10 @@ def parse(cls, obj, path: str, hooks: dict | None = None, dims: dict | None = No
     for f in declared:
         key = f"{path}.{f.name}"
         if f.name in obj:
-            kwargs[f.name] = _value(hints[f.name], obj[f.name], key, f.metadata, hooks, dims)
+            kwargs[f.name] = _value(hints[f.name], obj[f.name], key, f.metadata, hooks, dims,
+                                    _default(f))
+        elif base is not None:
+            kwargs[f.name] = getattr(base, f.name)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigurationError(f"{key}: required")
     try:
@@ -56,7 +62,13 @@ def parse(cls, obj, path: str, hooks: dict | None = None, dims: dict | None = No
         raise ConfigurationError(f"{path}: {e}") from e
 
 
-def _value(hint, value, path, meta, hooks, dims):
+def _default(f):
+    if f.default_factory is not MISSING:
+        return f.default_factory()
+    return None if f.default is MISSING else f.default
+
+
+def _value(hint, value, path, meta, hooks, dims, default=None):
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         options = typing.get_args(hint)
         if value is None and type(None) in options:
@@ -65,7 +77,7 @@ def _value(hint, value, path, meta, hooks, dims):
     if hint in hooks:
         return hooks[hint](value, path)
     if is_dataclass(hint):
-        return parse(hint, value, path, hooks, dims)
+        return parse(hint, value, path, hooks, dims, default)
     if typing.get_origin(hint) is tuple:
         return _sequence(hint, value, path, meta, hooks, dims)
     return _scalar(hint, value, path, meta)
@@ -106,7 +118,10 @@ def _scalar(hint, value, path, meta):
     if not ok or (hint is not bool and isinstance(value, bool)):
         raise ConfigurationError(f"{path}: expected {_SCALARS[hint]}")
     if hint is float:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            value = math.inf
         if not math.isfinite(value):
             raise ConfigurationError(f"{path}: must be finite")
     if "ge" in meta and not value >= meta["ge"]:

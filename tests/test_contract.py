@@ -187,7 +187,10 @@ def bad_configs(draw):
         return replaced(BASE, path, draw(values)), []
     if change == "non-finite":
         path = draw(st.sampled_from(NUMERIC_PATHS))
-        return replaced(BASE, path, draw(st.sampled_from([math.nan, math.inf, -math.inf]))), []
+        values = [math.nan, math.inf, -math.inf]
+        if config_kind(path).startswith("num"):
+            values += [10**400, -10**400]  # integer literals beyond the float range
+        return replaced(BASE, path, draw(st.sampled_from(values))), []
     if change == "reversed bounds":
         lo = draw(st.floats(min_value=1e-6, max_value=1e3))
         hi = draw(st.floats(min_value=1e-6, max_value=1e3).filter(lambda v: v > lo))

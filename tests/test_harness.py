@@ -185,6 +185,16 @@ class TestConfigParsing:
             config_from_dict({**self.base(),
                               "network": {"hidden_widths": [8], "activations": ["sigmoid"]}})
 
+    def test_partial_arch_keeps_its_field_defaults(self):
+        # a key left out of "head" takes the head's default, not the network's
+        for head in ({}, {"skips": []}):
+            assert (config_from_dict({**self.base(), "head": head}).head
+                    == ArchConfig((20,), ("elu",)))
+        assert (config_from_dict({**self.base(), "head": {"hidden_widths": [30]}}).head
+                == ArchConfig((30,), ("elu",)))
+        assert (config_from_dict({**self.base(), "network": {"skips": [[1, 2]]}}).network
+                == ArchConfig((15, 15), ("elu", "elu"), ((1, 2),)))
+
     def test_kernel_and_bounds_parsing(self):
         cfg = config_from_dict({**self.base(),
                                 "gp_kernel": {"kind": "rbf", "amplitude": 2.0, "length": 0.5},
@@ -218,6 +228,11 @@ class TestConfigParsing:
             config_from_file(bad)
         with pytest.raises(ConfigurationError, match="cannot read"):
             config_from_file(tmp_path / "missing.json")
+        # Python refuses to read an integer literal this long
+        bad.write_text('{"method": "bfwl", "master_seed": 1' + "0" * 5000 + "}",
+                       encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="invalid JSON"):
+            config_from_file(bad)
 
 
 class TestProblemAssembly:
@@ -619,6 +634,7 @@ class TestCli:
         ({"gp_noise_bounds": [1e-4, -1]}, "config.gp_noise_bounds[1]: must be >= 0"),
         ({"beta": float("nan")}, "config.beta: must be finite"),
         ({"lf_eta": float("inf")}, "config.lf_eta: must be finite"),
+        ({"beta": 10**400}, "config.beta: must be finite"),
         ({"gp_kernel": {"kind": "rbf", "amplitude": "x"}},
          "config.gp_kernel.amplitude: expected a number"),
         ({"gp_kernel": {"kind": "rbf", "amplitude": True}},
