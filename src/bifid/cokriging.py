@@ -19,7 +19,17 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import ConfigurationError, IllConditionedKernelError
-from .gp import Bounds, Kernel, _validate_xy, multistart_minimize, stabilized_cholesky
+from .gp import (
+    Bounds,
+    Kernel,
+    _validate_xy,
+    gp_optimize,
+    gp_predict_batch,
+    multistart_minimize,
+    nll_weights,
+    stabilized_cholesky,
+    trace_product,
+)
 
 
 @dataclass
@@ -50,12 +60,25 @@ def _joint_gram(
     rho: float,
     noise_h: float,
     noise_l: float,
-) -> np.ndarray:
-    n_h, n_l = X_h.shape[0], X_l.shape[0]
-    K_hh = rho**2 * kernel_l.gram(X_h) + kernel_corr.gram(X_h) + noise_h * np.eye(n_h)
-    K_hl = rho * kernel_l.cross(X_h, X_l)
-    K_ll = kernel_l.gram(X_l) + noise_l * np.eye(n_l)
-    return np.block([[K_hh, K_hl], [K_hl.T, K_ll]])
+) -> tuple[np.ndarray, np.ndarray]:
+    """D K_l([X_h; X_l]) D + blockdiag(K_corr(X_h) + noise_h I, noise_l I) with
+    D = diag(rho on the high-fidelity rows, 1 on the low-fidelity rows).
+
+    Returns the joint Gram and the unscaled K_l([X_h; X_l]).
+    """
+    n_h = X_h.shape[0]
+    K_l = kernel_l.gram(np.vstack([X_h, X_l]))
+    d = _rho_scale(rho, n_h, K_l.shape[0])
+    K = d[:, None] * K_l * d
+    K[:n_h, :n_h] += kernel_corr.gram(X_h)
+    K[np.diag_indices_from(K)] += np.where(np.arange(K.shape[0]) < n_h, noise_h, noise_l)
+    return K, K_l
+
+
+def _rho_scale(rho: float, n_h: int, n: int) -> np.ndarray:
+    d = np.ones(n)
+    d[:n_h] = rho
+    return d
 
 
 def _validate_pair(X_l, y_l, X_h, y_h):
@@ -80,7 +103,7 @@ def ck_fit(
     X_l, y_l, X_h, y_h = _validate_pair(X_l, y_l, X_h, y_h)
     if noise_l < 0 or noise_h < 0:
         raise ConfigurationError("noise variances must be >= 0")
-    K = _joint_gram(X_h, X_l, kernel_l, kernel_corr, rho, noise_h, noise_l)
+    K, _ = _joint_gram(X_h, X_l, kernel_l, kernel_corr, rho, noise_h, noise_l)
     L, jitter = stabilized_cholesky(K)
     stacked = np.concatenate([y_h, y_l])
     dual = cho_solve((L, True), stacked)
@@ -125,17 +148,44 @@ def ck_nll(
     rho: float,
     noise_l: float,
     noise_h: float,
-) -> float:
-    """Joint negative log marginal likelihood of the stacked observations."""
+    *,
+    grad: bool = False,
+):
+    """Joint negative log marginal likelihood of the stacked observations.
+
+    With ``grad=True`` returns ``(nll, g)``: g holds the derivatives with
+    respect to the log of each free hyperparameter of kernel_l, then of
+    kernel_corr (``free_params`` order), then rho, log(noise_l), log(noise_h).
+    """
     X_l, y_l, X_h, y_h = _validate_pair(X_l, y_l, X_h, y_h)
-    K = _joint_gram(X_h, X_l, kernel_l, kernel_corr, rho, noise_h, noise_l)
+    K, K_l = _joint_gram(X_h, X_l, kernel_l, kernel_corr, rho, noise_h, noise_l)
     L, _ = stabilized_cholesky(K)
     stacked = np.concatenate([y_h, y_l])
     alpha = cho_solve((L, True), stacked)
     n = stacked.shape[0]
-    return float(
+    value = float(
         0.5 * stacked @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * n * math.log(2 * math.pi)
     )
+    if not grad:
+        return value
+    del K
+    n_h = X_h.shape[0]
+    W = nll_weights(L, alpha)
+    # each term's dK read blockwise: D dK_l D everywhere, dK_corr on the hh
+    # block, the noise floors on the diagonal, and for rho
+    # dK/drho = E K_l D + D K_l E with E = diag(1 on the hh rows, 0 elsewhere)
+    d = _rho_scale(rho, n_h, n)
+    WD = d[:, None] * W * d
+    g = [0.5 * trace_product(WD, dK) for dK in kernel_l.gram_grads(np.vstack([X_h, X_l]))]
+    del WD
+    W_hh = W[:n_h, :n_h]
+    g.extend(0.5 * trace_product(W_hh, dK) for dK in kernel_corr.gram_grads(X_h))
+    g.append(rho * trace_product(W_hh, K_l[:n_h, :n_h])
+             + trace_product(W[:n_h, n_h:], K_l[:n_h, n_h:]))
+    w_diag = np.diag(W)
+    g.append(0.5 * noise_l * w_diag[n_h:].sum())
+    g.append(0.5 * noise_h * w_diag[:n_h].sum())
+    return value, np.array(g)
 
 
 DEFAULT_RHO_BOUNDS: Bounds = (-5.0, 5.0)
@@ -157,8 +207,11 @@ def ck_optimize(
 ) -> CoKrigingModel:
     """Joint NLL minimization over both kernels, rho, and the noise floors.
 
-    Kernel hyperparameters and noise variances are searched in log space;
-    rho is searched on a linear scale since it may be negative.
+    Multi-start L-BFGS-B on the analytic gradient of ``ck_nll``.  Kernel
+    hyperparameters and noise variances are searched in log space; rho is
+    searched on a linear scale since it may be negative.  The starts are the
+    templates' values, the recursive two-step fit (Le Gratiet & Garnier 2014)
+    and uniform draws in the search box.
     """
     X_l, y_l, X_h, y_h = _validate_pair(X_l, y_l, X_h, y_h)
     if rng is None:
@@ -191,6 +244,11 @@ def ck_optimize(
             entries.append((label, start, math.log(lo), math.log(hi), True, lo, hi))
         else:
             fixed_noise[label] = lo
+    labels = [e[0] for e in entries]
+    # entries of ck_nll's gradient that are searched
+    n_kernel = len(free_l) + len(free_c)
+    searched = list(range(n_kernel)) + [
+        n_kernel + i for i, label in enumerate(("rho", "nl", "nh")) if label in labels]
 
     def build(theta: np.ndarray):
         values = {}
@@ -218,17 +276,34 @@ def ck_optimize(
     lo = np.array([e[2] for e in entries])
     hi = np.array([e[3] for e in entries])
 
-    def objective(theta: np.ndarray) -> float:
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         k_l, k_c, r, nl, nh = build(np.clip(theta, lo, hi))
         try:
-            value = ck_nll(X_l, y_l, X_h, y_h, k_l, k_c, r, nl, nh)
+            value, g = ck_nll(X_l, y_l, X_h, y_h, k_l, k_c, r, nl, nh, grad=True)
         except IllConditionedKernelError:
-            return np.inf
-        return value if np.isfinite(value) else np.inf
+            return np.inf, np.zeros_like(theta)
+        return value, g[searched]
+
+    def recursive_start() -> np.ndarray:
+        # a GP on the low-fidelity data, rho by least squares on its mean at
+        # X_h, then a GP on the high-fidelity residual y_h - rho * mu_l(X_h)
+        low = gp_optimize(X_l, y_l, kernel_l_template, noise_bounds=noise_bounds_l,
+                          rng=rng, n_restarts=n_restarts)
+        mu = gp_predict_batch(low, X_h)[0]
+        r = rho
+        if "rho" in labels and mu @ mu > 0:
+            r = min(max(float(mu @ y_h) / float(mu @ mu), rho_bounds[0]), rho_bounds[1])
+        corr = gp_optimize(X_h, y_h - r * mu, kernel_corr_template,
+                           noise_bounds=noise_bounds_h, rng=rng, n_restarts=n_restarts)
+        values = {name: value for name, value, _ in
+                  low.kernel.free_params(prefix="l.") + corr.kernel.free_params(prefix="c.")}
+        values.update(rho=r, nl=low.noise_var, nh=corr.noise_var)
+        return np.array([math.log(values[e[0]]) if e[4] else values[e[0]] for e in entries])
 
     starts = [np.array([e[1] for e in entries])]
     for _ in range(max(0, n_restarts - 1)):
         starts.append(lo + rng.uniform(size=len(entries)) * (hi - lo))
+    starts.insert(1, recursive_start())
 
     best_theta, best_val = multistart_minimize(objective, starts, lo, hi)
     k_l, k_c, r, nl, nh = build(np.clip(best_theta, lo, hi))

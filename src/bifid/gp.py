@@ -14,6 +14,7 @@ does include the white-noise floor.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -61,13 +62,18 @@ class Kernel:
         """Scalar kernel value; white noise compares the vectors themselves."""
         raise NotImplementedError
 
+    def gram_grads(self, X: np.ndarray) -> Iterator[np.ndarray]:
+        """d gram(X) / d log(h) for each free hyperparameter h, in
+        ``free_params`` order, one matrix at a time."""
+        raise NotImplementedError
+
+    def _free_names(self) -> list[str]:
+        return [name for name in self._hyper_names
+                if (b := getattr(self, f"{name}_bounds")) is not None and b[0] < b[1]]
+
     def free_params(self, prefix: str = "") -> list[tuple[str, float, Bounds]]:
-        out = []
-        for name in self._hyper_names:
-            bounds = getattr(self, f"{name}_bounds")
-            if bounds is not None and bounds[0] < bounds[1]:
-                out.append((prefix + name, getattr(self, name), bounds))
-        return out
+        return [(prefix + name, getattr(self, name), getattr(self, f"{name}_bounds"))
+                for name in self._free_names()]
 
     def with_values(self, values: dict[str, float], prefix: str = "") -> "Kernel":
         updates = {}
@@ -111,6 +117,12 @@ class RBF(Kernel):
         d2 = float(np.sum((np.asarray(x) - np.asarray(z)) ** 2))
         return float(self.amplitude**2 * np.exp(-d2 / (2.0 * self.length**2)))
 
+    def gram_grads(self, X):
+        d2 = cdist(X, X, "sqeuclidean")
+        K = self._from_sq(d2)
+        for name in self._free_names():
+            yield 2.0 * K if name == "amplitude" else K * d2 / self.length**2
+
 
 @dataclass(frozen=True)
 class RationalQuadratic(Kernel):
@@ -149,6 +161,18 @@ class RationalQuadratic(Kernel):
     def point(self, x, z):
         d2 = float(np.sum((np.asarray(x) - np.asarray(z)) ** 2))
         return float(self._from_sq(np.array(d2)))
+
+    def gram_grads(self, X):
+        d2 = cdist(X, X, "sqeuclidean")
+        base = 1.0 + d2 / (2.0 * self.shape * self.length**2)
+        K = self.amplitude**2 * base ** (-self.shape)
+        for name in self._free_names():
+            if name == "amplitude":
+                yield 2.0 * K
+            elif name == "shape":
+                yield self.shape * K * ((base - 1.0) / base - np.log(base))
+            else:
+                yield K * d2 / (self.length**2 * base)
 
 
 @dataclass(frozen=True)
@@ -195,6 +219,22 @@ class Matern(Kernel):
         r = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(z, dtype=float)))
         return float(self._from_r(np.array(r)))
 
+    def gram_grads(self, X):
+        r = cdist(X, X, "euclidean")
+        for name in self._free_names():
+            if name == "amplitude":
+                yield 2.0 * self._from_r(r)
+                continue
+            # d/d log(length) of the closed forms, in t = sqrt(2 nu) r / length
+            t = math.sqrt(2.0 * self.nu) * r / self.length
+            if self.nu == 0.5:
+                poly = t
+            elif self.nu == 1.5:
+                poly = t * t
+            else:
+                poly = t * t * (1.0 + t) / 3.0
+            yield self.amplitude**2 * poly * np.exp(-t)
+
 
 @dataclass(frozen=True)
 class WhiteNoise(Kernel):
@@ -222,6 +262,10 @@ class WhiteNoise(Kernel):
         same = np.array_equal(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
         return float(self.amplitude**2) if same else 0.0
 
+    def gram_grads(self, X):
+        if self._free_names():
+            yield 2.0 * self.gram(X)
+
 
 @dataclass(frozen=True)
 class SumKernel(Kernel):
@@ -243,6 +287,10 @@ class SumKernel(Kernel):
 
     def point(self, x, z):
         return float(sum(p.point(x, z) for p in self.parts))
+
+    def gram_grads(self, X):
+        for p in self.parts:
+            yield from p.gram_grads(X)
 
     def free_params(self, prefix: str = ""):
         out = []
@@ -382,8 +430,32 @@ def gp_predict_batch(model: GPModel, X: np.ndarray) -> tuple[np.ndarray, np.ndar
     return means, variances
 
 
-def gp_nll(X: np.ndarray, y: np.ndarray, kernel: Kernel, noise_var: float = 0.0) -> float:
-    """Negative log marginal likelihood (same stabilization as gp_fit)."""
+def nll_weights(L: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """K^-1 - alpha alpha^T from the Cholesky factor of K, so that the NLL's
+    derivative along any dK is 0.5 * sum(W * dK) (R&W 2006, eq. 5.9)."""
+    # not lapack's potri: OpenBLAS runs it threaded even on a 20x20 factor,
+    # which kept the BLAS threads spinning in every replicate worker
+    W = cho_solve((L, True), np.eye(L.shape[0]))
+    W -= np.outer(alpha, alpha)
+    return W
+
+
+def trace_product(A: np.ndarray, B: np.ndarray) -> float:
+    """sum(A * B), which is tr(A B^T).  einsum keeps it off BLAS: numpy's
+    threaded dot product over a whole Gram kept numpy's BLAS threads spinning
+    beside scipy's and tripled the co-kriging fit time on 2 cores."""
+    return float(np.einsum("ij,ij->", A, B))
+
+
+def gp_nll(
+    X: np.ndarray, y: np.ndarray, kernel: Kernel, noise_var: float = 0.0, *, grad: bool = False
+):
+    """Negative log marginal likelihood (same stabilization as gp_fit).
+
+    With ``grad=True`` returns ``(nll, g)``: g holds the derivatives with
+    respect to the log of each free kernel hyperparameter, in ``free_params``
+    order, and last with respect to log(noise_var).
+    """
     X, y = _validate_xy(X, y)
     if noise_var < 0:
         raise ConfigurationError("noise_var must be >= 0")
@@ -391,7 +463,14 @@ def gp_nll(X: np.ndarray, y: np.ndarray, kernel: Kernel, noise_var: float = 0.0)
     L, _ = stabilized_cholesky(K)
     alpha = cho_solve((L, True), y)
     n = X.shape[0]
-    return float(0.5 * y @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * n * math.log(2.0 * math.pi))
+    value = float(
+        0.5 * y @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * n * math.log(2.0 * math.pi))
+    if not grad:
+        return value
+    W = nll_weights(L, alpha)
+    g = [0.5 * trace_product(W, dK) for dK in kernel.gram_grads(X)]
+    g.append(0.5 * noise_var * np.trace(W))
+    return value, np.array(g)
 
 
 def gp_optimize(
@@ -405,9 +484,10 @@ def gp_optimize(
 ) -> GPModel:
     """Minimize the NLL over log-hyperparameters within bounds.
 
-    Multi-start Nelder-Mead; the template's own values are always the first
-    start, so the result is never worse than the template.  Deterministic
-    given the rng state.
+    Multi-start L-BFGS-B on the analytic NLL gradient.  The template's own
+    values are the first start and the others are drawn uniformly in the log
+    box, so the result is never worse than the template.  Deterministic given
+    the rng state.
     """
     X, y = _validate_xy(X, y)
     free = kernel_template.free_params()
@@ -446,13 +526,13 @@ def gp_optimize(
     log_lo = np.log([b[0] for b in bounds])
     log_hi = np.log([b[1] for b in bounds])
 
-    def objective(log_theta: np.ndarray) -> float:
+    def objective(log_theta: np.ndarray) -> tuple[float, np.ndarray]:
         kernel, nv = build(np.clip(log_theta, log_lo, log_hi))
         try:
-            value = gp_nll(X, y, kernel, nv)
+            value, g = gp_nll(X, y, kernel, nv, grad=True)
         except IllConditionedKernelError:
-            return np.inf
-        return value if np.isfinite(value) else np.inf
+            return np.inf, np.zeros_like(log_theta)
+        return value, g if optimize_noise else g[:-1]
 
     if rng is None:
         rng = np.random.default_rng(0)
@@ -470,29 +550,36 @@ def gp_optimize(
 def multistart_minimize(
     objective, starts: list[np.ndarray], lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Nelder-Mead from each start within box bounds; best finite point wins.
+    """L-BFGS-B from each start within box bounds; best finite point wins.
 
-    Every start itself is also a candidate, so a feasible seeded point can
-    never be lost to a diverging search.  Raises when no start produces a
-    finite objective anywhere.
+    ``objective(x)`` returns the value and its gradient, and an infinite value
+    at an infeasible point.  Every point evaluated is a candidate, each start
+    among them, so a feasible seeded point can never be lost to a diverging
+    search.  An infeasible start is not searched from.  Raises when no start
+    produces a finite objective anywhere.
     """
     best_val = np.inf
     best_x = None
+
+    def tracked(x: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal best_val, best_x
+        value, g = objective(x)
+        if not np.isfinite(value):
+            return np.inf, np.zeros_like(x)
+        if value < best_val:
+            best_val, best_x = value, x.copy()
+        return value, g
+
     for start in starts:
-        res = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            bounds=list(zip(lo, hi)),
-            options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 500 * len(start)},
-        )
-        candidates = [(objective(start), start)]
-        if np.isfinite(res.fun):
-            candidates.append((res.fun, res.x))
-        for val, x in candidates:
-            if val < best_val:
-                best_val = val
-                best_x = x
+        value, g = tracked(start)
+        if not np.isfinite(value):
+            continue
+        # on a fully boxed problem L-BFGS-B's first step is the whole projected
+        # gradient step; scaling the objective makes that step unit length
+        scale = 1.0 / max(1.0, float(np.linalg.norm(g)))
+        minimize(lambda x: tuple(scale * v for v in tracked(x)), start, jac=True,
+                 method="L-BFGS-B", bounds=list(zip(lo, hi)),
+                 options={"ftol": 1e-10, "gtol": 1e-6, "maxiter": 1000})
     if best_x is None:
         raise OptimizationError(
             f"all {len(starts)} hyperparameter starts failed; no finite objective found"

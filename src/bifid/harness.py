@@ -202,6 +202,12 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
             arch.to_spec(1)  # surface bad widths/activations/skips now, not mid-run
         except ConfigurationError as e:
             raise ConfigurationError(f"config.{key}: {e}") from e
+    for key in ("gp_noise_bounds", "ck_noise_bounds"):
+        bounds = getattr(cfg, key)
+        if bounds is not None and bounds[0] == 0 < bounds[1]:
+            # a searched noise variance lives in log space; [0, 0] pins it at zero
+            raise ConfigurationError(
+                f"config.{key}: a searched noise variance needs a positive lower bound")
     if not 1 <= cfg.n_adapt_layers <= len(cfg.network.hidden_widths):
         raise ConfigurationError(
             f"config.n_adapt_layers: must lie in [1, {len(cfg.network.hidden_widths)}]")

@@ -144,6 +144,45 @@ class TestFitPredict:
             ck_fit(X, y, X, y, RBF(), RBF(), noise_l=-1.0)
 
 
+class TestNllGradient:
+    @pytest.mark.parametrize("k_l, k_c", [
+        (RBF(amplitude=1.0, length=1.1, amplitude_bounds=(0.1, 10.0), length_bounds=(0.1, 10.0)),
+         Matern(amplitude=0.3, length=0.9, nu=2.5,
+                amplitude_bounds=(0.01, 10.0), length_bounds=(0.1, 10.0))),
+        (Matern(amplitude=1.2, length=0.8, nu=1.5, length_bounds=(0.1, 10.0)),
+         RBF(amplitude=0.2, length=1.3, amplitude_bounds=(0.01, 10.0))),
+    ])
+    @pytest.mark.parametrize("rho", [-1.3, 0.0, 0.8])
+    def test_matches_central_differences(self, k_l, k_c, rho):
+        # each free entry: the kernels' log-hyperparameters, rho, log noise floors
+        rng = np.random.default_rng(5)
+        pts = spread_points(rng, 17, 2)
+        X_l, X_h = pts[:12], pts[12:]
+        y_l = np.sin(X_l[:, 0])
+        y_h = 1.2 * np.sin(X_h[:, 0]) + 0.1 * X_h[:, 1]
+        names_l = [name for name, _, _ in k_l.free_params()]
+        names_c = [name for name, _, _ in k_c.free_params()]
+        n_l, n_c = len(names_l), len(names_c)
+        x0 = np.concatenate([np.log([v for _, v, _ in k_l.free_params()]),
+                             np.log([v for _, v, _ in k_c.free_params()]),
+                             [rho], np.log([1e-3, 2e-3])])
+
+        def nll(x):
+            return ck_nll(X_l, y_l, X_h, y_h,
+                          k_l.with_values(dict(zip(names_l, np.exp(x[:n_l])))),
+                          k_c.with_values(dict(zip(names_c, np.exp(x[n_l:n_l + n_c])))),
+                          x[-3], math.exp(x[-2]), math.exp(x[-1]))
+
+        value, grad = ck_nll(X_l, y_l, X_h, y_h, k_l, k_c, rho, 1e-3, 2e-3, grad=True)
+        assert value == nll(x0)
+        fd = np.empty(x0.size)
+        for i in range(x0.size):
+            step = np.zeros(x0.size)
+            step[i] = 1e-5
+            fd[i] = (nll(x0 + step) - nll(x0 - step)) / 2e-5
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-7)
+
+
 class TestOptimize:
     def make_problem(self, rho_true=-1.5, seed=3):
         rng = np.random.default_rng(seed)
@@ -216,7 +255,7 @@ class TestOptimize:
         X_l, y_l, X_h, y_h, rng = self.make_problem(seed=12)
         calls = []
 
-        def broken_nll(*args):
+        def broken_nll(*args, **kwargs):
             calls.append(args)
             raise TypeError("injected")
 

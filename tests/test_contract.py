@@ -91,8 +91,9 @@ OUT_OF_RANGE = [  # (path, strategy for values the schema must refuse)
     (("network", "hidden_widths", 0), st.integers(max_value=0) | st.integers(min_value=51)),
     (("network", "skips", 0, 0), st.integers(min_value=2) | st.integers(max_value=0)),
     (("head", "hidden_widths", 0), st.integers(max_value=0)),
-    (("gp_noise_bounds", 0), st.floats(max_value=-1e-12)),
+    (("gp_noise_bounds", 0), st.floats(max_value=-1e-12) | st.just(0.0)),
     (("ck_noise_bounds", 1), st.floats(max_value=-1e-12)),
+    (("ck_noise_bounds", 0), st.just(0.0)),
     (("data", "pool_size"), st.integers(max_value=0)),
     (("replication", "n"), st.integers(max_value=0)),
     (("replication", "nh_values", 0), st.integers(max_value=0)),

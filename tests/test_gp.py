@@ -1,6 +1,7 @@
 """GP regression checked against dense-inverse oracles and closed forms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,55 @@ class TestKernelValues:
             kernel_from_dict({"kind": "rbf", "amplitud": 1.0})
         with pytest.raises(ConfigurationError):
             kernel_from_dict({"kind": "laplace"})
+
+
+def searched(kernel):
+    """The kernel with every hyperparameter free in a box around its value."""
+    if isinstance(kernel, SumKernel):
+        return SumKernel(tuple(searched(p) for p in kernel.parts))
+    boxes = {f"{name}_bounds": (getattr(kernel, name) / 10, getattr(kernel, name) * 10)
+             for name in kernel._hyper_names}
+    return replace(kernel, **boxes)
+
+
+def central_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    out = np.empty(x.size)
+    for i in range(x.size):
+        step = np.zeros(x.size)
+        step[i] = h
+        out[i] = (f(x + step) - f(x - step)) / (2 * h)
+    return out
+
+
+class TestNllGradient:
+    @pytest.mark.parametrize("kernel", instance_kernels(), ids=lambda k: type(k).__name__)
+    def test_matches_central_differences(self, kernel):
+        # every kernel kind the config accepts, at a well-conditioned point:
+        # derivatives in the log of each free hyperparameter, then log(noise)
+        rng = np.random.default_rng(21)
+        X = spread_points(rng, 9, 2)
+        y = np.sin(X[:, 0]) + 0.3 * X[:, 1]
+        kernel = searched(kernel)
+        names = [name for name, _, _ in kernel.free_params()]
+        values = np.log([value for _, value, _ in kernel.free_params()] + [1e-2])
+
+        def nll(log_theta):
+            theta = np.exp(log_theta)
+            return gp_nll(X, y, kernel.with_values(dict(zip(names, theta))), theta[-1])
+
+        value, grad = gp_nll(X, y, kernel, 1e-2, grad=True)
+        assert value == nll(values)
+        assert grad.shape == (len(names) + 1,)
+        np.testing.assert_allclose(grad, central_difference(nll, values), rtol=1e-6, atol=1e-8)
+
+    def test_pinned_hyperparameters_have_no_entry(self):
+        X = spread_points(np.random.default_rng(2), 5, 2)
+        y = np.cos(X[:, 0])
+        kernel = RBF(amplitude=1.1, length=0.9, length_bounds=(0.1, 10.0),
+                     amplitude_bounds=(1.1, 1.1))
+        _, grad = gp_nll(X, y, kernel, 0.0, grad=True)
+        assert grad.shape == (2,)
+        assert grad[-1] == 0.0  # d/dlog(noise) at zero noise
 
 
 def dense_oracle(X, y, kernel, noise_var, jitter, x):

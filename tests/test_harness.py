@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bifid import beam
+from bifid import beam, harness
 from bifid.cli import main
 from bifid.datasets import Dataset, read_csv, write_csv
 from bifid.errors import ConfigurationError, NormalizationError
@@ -38,8 +38,12 @@ from bifid.harness import (
     save_artifact,
     split_pool,
 )
+from bifid.cokriging import ck_nll
+from bifid.datasets import Standardizer
+from bifid.gp import gp_nll, kernel_from_dict
 from bifid.network import init_params, params_from_bytes, predict_batch
-from bifid.seeding import DATA, INIT, stream
+from bifid.seeding import DATA, GP_RESTARTS, INIT, stream
+from bifid.transfer import make_teacher
 
 
 def tiny_cfg(method: str = "standard_hf", **overrides) -> ExperimentConfig:
@@ -372,6 +376,46 @@ class TestRunners:
         assert run_single(tiny_cfg(method="gp_only"), problem=problem).history == {}
 
 
+class TestFitQuality:
+    """Marginal-likelihood fits at the default scale against the values the
+    earlier multistart Nelder-Mead search reached on the same data and streams."""
+
+    @pytest.mark.parametrize("seed, nelder_mead", [(0, -31.93502598124639),
+                                                   (1, -30.244625663411874)])
+    def test_gp_only_reaches_the_nelder_mead_nll(self, seed, nelder_mead):
+        cfg = config_from_dict({"method": "gp_only", "master_seed": seed,
+                                "standardize_gp_inputs": True})
+        a = run_single(cfg).artifact
+        nll = gp_nll(np.asarray(a["x_fit"]), np.asarray(a["y_fit"]),
+                     kernel_from_dict(a["kernel"]), a["noise_var"])
+        assert nll <= nelder_mead + 1e-6
+
+    @pytest.mark.parametrize("seed, nelder_mead", [(0, -33.439892296357854),
+                                                   (1, -32.02900795983972)])
+    def test_teacher_reaches_the_nelder_mead_nll(self, seed, nelder_mead):
+        # the teacher as bfwl fits it: the HF set scaled by the LF set's standardizers
+        cfg = config_from_dict({"method": "bfwl", "master_seed": seed})
+        problem = make_problem(cfg)
+        xs = Standardizer.fit(problem.data_l.inputs)
+        ys = Standardizer.fit(problem.data_l.outputs)
+        data_h = Dataset(xs.transform(problem.data_h.inputs), ys.transform(problem.data_h.outputs))
+        teacher = make_teacher(data_h, cfg.teacher_kernel, None, stream(seed, GP_RESTARTS, 0))
+        assert teacher.nll <= nelder_mead + 1e-6
+
+    def test_default_cokriging_beats_the_constant_predictor(self):
+        cfg = config_from_dict({"method": "cokriging", "master_seed": 0})
+        problem = make_problem(cfg)
+        result = run_single(cfg, problem=problem)
+        constant = rmse(np.full(problem.data_v.outputs.shape, problem.data_h.outputs.mean()),
+                        problem.data_v.outputs)
+        assert result.rmse < constant / 10
+        a = result.artifact
+        nll = ck_nll(np.asarray(a["x_l"]), np.asarray(a["y_l"]), np.asarray(a["x_h"]),
+                     np.asarray(a["y_h"]), kernel_from_dict(a["kernel_l"]),
+                     kernel_from_dict(a["kernel_corr"]), a["rho"], a["noise_l"], a["noise_h"])
+        assert nll <= -1660.3  # the Nelder-Mead search's degenerate optimum
+
+
 class TestArtifacts:
     def assert_round_trip(self, result, problem, tmp_path, tol=0.0):
         direct = predict_from_artifact(result.artifact, problem.data_v.inputs)
@@ -618,11 +662,15 @@ class TestCli:
                        "hf_path": str(data_dir / "highfi3.csv"),
                        "val_path": str(data_dir / "validation.csv")}},
              "have 4, 3 and 4 input columns"),
-            # raised inside each worker and passed through unchanged (the parser
-            # refuses a reversed pair, but not a zero lower bound)
-            ({"method": "gp_only", "gp_noise_bounds": [0, 1e-4]},
-             "noise lower bound must be positive"),
+            # raised inside each worker and passed through unchanged
+            ({"method": "gp_only"}, "raised inside a worker"),
         ]
+
+        def failing_runner(cfg, problem, rep):
+            raise ConfigurationError("raised inside a worker")
+
+        # the pool forks, so the workers inherit the patched runner table
+        monkeypatch.setitem(harness._RUNNERS, "gp_only", failing_runner)
         for overrides, message in cases:
             cfg = self.write_config(tmp_path, replication=reps, **overrides)
             assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
@@ -632,6 +680,10 @@ class TestCli:
     @pytest.mark.parametrize("overrides, message", [
         ({"rho_bounds": [5, -5]}, "config.rho_bounds: lower bound 5.0 exceeds upper bound -5.0"),
         ({"gp_noise_bounds": [1e-4, -1]}, "config.gp_noise_bounds[1]: must be >= 0"),
+        ({"gp_noise_bounds": [0, 1e-4]},
+         "config.gp_noise_bounds: a searched noise variance needs a positive lower bound"),
+        ({"ck_noise_bounds": [0, 1e-4]},
+         "config.ck_noise_bounds: a searched noise variance needs a positive lower bound"),
         ({"beta": float("nan")}, "config.beta: must be finite"),
         ({"lf_eta": float("inf")}, "config.lf_eta: must be finite"),
         ({"beta": 10**400}, "config.beta: must be finite"),
