@@ -680,10 +680,6 @@ class TestCli:
     @pytest.mark.parametrize("overrides, message", [
         ({"rho_bounds": [5, -5]}, "config.rho_bounds: lower bound 5.0 exceeds upper bound -5.0"),
         ({"gp_noise_bounds": [1e-4, -1]}, "config.gp_noise_bounds[1]: must be >= 0"),
-        ({"gp_noise_bounds": [0, 1e-4]},
-         "config.gp_noise_bounds: a searched noise variance needs a positive lower bound"),
-        ({"ck_noise_bounds": [0, 1e-4]},
-         "config.ck_noise_bounds: a searched noise variance needs a positive lower bound"),
         ({"beta": float("nan")}, "config.beta: must be finite"),
         ({"lf_eta": float("inf")}, "config.lf_eta: must be finite"),
         ({"beta": 10**400}, "config.beta: must be finite"),
@@ -691,6 +687,10 @@ class TestCli:
          "config.gp_kernel.amplitude: expected a number"),
         ({"gp_kernel": {"kind": "rbf", "amplitude": True}},
          "config.gp_kernel.amplitude: expected a number"),
+        ({"gp_noise_bounds": [0, 1e-4]},
+         "config.gp_noise_bounds: a searched noise variance needs a positive lower bound"),
+        ({"ck_noise_bounds": [0, 1e-4]},
+         "config.ck_noise_bounds: a searched noise variance needs a positive lower bound"),
     ])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, overrides, message):
         cfg = self.write_config(tmp_path, **overrides)
